@@ -8,7 +8,6 @@ forms.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
 from .algebra import build_c_operator, build_weight_matrix, cpt_inner, pt_conjugate, pt_inner
 from .closedform import (
     ThreeByThreeParityParams,
@@ -69,7 +68,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "NUMBA_ENABLED",
     "__version__",
     "BlockForm",
     "BrokenPhaseError",

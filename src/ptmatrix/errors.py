@@ -2,7 +2,7 @@
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed: iteration cap hit or residuals above tolerance."""
+    """Eigensolver failed: LAPACK did not converge or residuals above tolerance."""
 
 
 class ExceptionalPointError(RuntimeError):

@@ -1,5 +1,9 @@
 """Dense complex matrix helpers and a general (non-Hermitian, non-symmetric)
-eigensolver for small dimensions (D <= 64).
+eigendecomposition for small dimensions (D <= 64).
+
+Eigenpairs come from LAPACK zgeev (through numpy.linalg.eig); this module adds
+a deterministic order, bilinear orthogonalization of eigenvalue clusters and
+a residual check.
 
 Matrices are plain numpy arrays of complex128; everything here is a pure
 function of its inputs.
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eig_all
 from .errors import ConvergenceError, ExceptionalPointError
 
 DEFAULT_TOL = 1e-10
@@ -90,9 +93,10 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains NaN or Inf entries")
 
-    w, v, ok = eig_all(a, maxiter=30 * n + 10)
-    if not ok:
-        raise ConvergenceError(f"QR iteration cap exhausted for dimension {n}")
+    try:
+        w, v = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK zgeev did not converge for dimension {n}") from exc
 
     order = np.lexsort((w.imag, w.real))
     w = w[order]

@@ -145,6 +145,18 @@ def test_analyze_round_trip_preserves_h(tmp_path, capsys):
     assert code == 0
 
 
+def test_analyze_eigensolver_failure_is_numerical(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must still map to exit 2, not 1
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    sys_ = pt.random_pt_system(4, (2, 2), 17)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    code, report = analyze_report(tmp_path, capsys, system_to_obj(sys_))
+    assert code == 2
+    assert report is None
+
+
 def test_analyze_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -59,6 +59,29 @@ def test_eigendecompose_matches_lapack(dim, rng):
         np.testing.assert_allclose(got, ref, atol=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+def test_eigendecompose_recovers_planted_spectrum(dim, rng):
+    # m = S diag(lam) S^-1 with ||S - I||_2 = 1/2, so cond(S) <= 3 and the
+    # reference eigenvalues do not come from any eigensolver
+    for _ in range(10):
+        lam = rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        s = np.eye(dim) + 0.5 * g / np.linalg.norm(g, 2)
+        m = s @ np.diag(lam) @ np.linalg.inv(s)
+        got = np.array([p.value for p in pt.eigendecompose(m)])
+        np.testing.assert_allclose(got, lam[np.lexsort((lam.imag, lam.real))], atol=1e-9)
+
+
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(pt.ConvergenceError, match="dimension 3") as info:
+        pt.eigendecompose(np.eye(3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_residual_contract(dim, rng):
     for _ in range(25):

@@ -4,7 +4,9 @@
 Unbroken systems are rare at high dimension (the acceptance rate for
 signature (6,2) at D=8 is about 1e-4), so the test suite uses seed lists
 found here once instead of rejection-sampling at run time. Every frozen seed
-is re-verified by the tests; this script only does the slow scanning.
+is re-verified by the tests; this script only does the scanning, which takes
+about 2.5 minutes (2 min 26 s on a 2-CPU x86-64 Linux VM with one OpenBLAS
+thread), nearly all of it the (8,6,2) scan up to seed 357555.
 
 Run from the repository root:  python tools/regen_unbroken_seeds.py
 """
