@@ -155,12 +155,12 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> list[EigenPair]:
     ]
 
 
-def mat_exp_times(m, scalar: complex, tol: float = DEFAULT_TOL,
-                  cond_cap: float = COND_CAP) -> np.ndarray:
-    """exp(scalar * m) through the eigendecomposition S exp(scalar L) S^-1.
+def diagonalize(m, tol: float = DEFAULT_TOL,
+                cond_cap: float = COND_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, eigenvector columns V and V^-1, so that m = V diag(w) V^-1.
 
-    Raises ExceptionalPointError when the eigenvector matrix is numerically
-    singular (defective input, e.g. at an exceptional point).
+    Raises ExceptionalPointError when cond(V) exceeds cond_cap (defective
+    input, e.g. at an exceptional point), where V^-1 would be meaningless.
     """
     a = as_matrix(m)
     w, v, _ = eig_arrays(a, tol)
@@ -170,4 +170,15 @@ def mat_exp_times(m, scalar: complex, tol: float = DEFAULT_TOL,
             "eigenvector matrix is numerically singular; matrix is defective "
             "or too close to an exceptional point"
         )
-    return (v * np.exp(scalar * w)) @ np.linalg.solve(v, np.eye(a.shape[0]))
+    return w, v, np.linalg.solve(v, np.eye(a.shape[0], dtype=np.complex128))
+
+
+def mat_exp_times(m, scalar: complex, tol: float = DEFAULT_TOL,
+                  cond_cap: float = COND_CAP) -> np.ndarray:
+    """exp(scalar * m) through the eigendecomposition S exp(scalar L) S^-1.
+
+    Raises ExceptionalPointError when the eigenvector matrix is numerically
+    singular (defective input, e.g. at an exceptional point).
+    """
+    w, v, vinv = diagonalize(m, tol, cond_cap)
+    return (v * np.exp(scalar * w)) @ vinv

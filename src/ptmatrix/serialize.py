@@ -16,7 +16,7 @@ from typing import IO
 import numpy as np
 
 from .construct import BlockForm, ParitySpec, PTSystem, pt_system_from_matrices
-from .dynamics import EvolutionTrace
+from .dynamics import TIME_BLOCK, EvolutionTrace
 from .spectral import SpectralData
 
 
@@ -155,5 +155,10 @@ def read_json(path):
 def write_trace_csv(fh: IO[str], trace: EvolutionTrace) -> None:
     """Evolution trace rows `t, re_inner, im_inner` (header mandatory)."""
     fh.write("t,re_inner,im_inner\n")
-    for t, z in zip(trace.times, trace.inner_products):
-        fh.write(f"{fmt17(t)},{fmt17(z.real)},{fmt17(z.imag)}\n")
+    times, z = trace.times, trace.inner_products
+    # Python floats format exactly as fmt17 does, without a numpy scalar per
+    # call; converting TIME_BLOCK rows at a time bounds the memory of the lists
+    for lo in range(0, times.shape[0], TIME_BLOCK):
+        part = slice(lo, lo + TIME_BLOCK)
+        rows = zip(times[part].tolist(), z.real[part].tolist(), z.imag[part].tolist())
+        fh.writelines(f"{t:.17g},{re:.17g},{im:.17g}\n" for t, re, im in rows)

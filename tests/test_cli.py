@@ -15,6 +15,8 @@ from ptmatrix.serialize import (
     write_json,
 )
 
+from conftest import unbroken_system
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 TABLE_THROUGH_6 = [
@@ -268,6 +270,35 @@ def test_evolve_asymmetric_fixture_flags_violation(tmp_path, capsys):
     assert "unitarity violated" in err
     drift = float(err.split("max_drift:")[1].split()[0])
     assert drift > 1e-3
+
+
+def _evolve_input(tmp_path, system):
+    if system == "asymmetric":
+        return str(FIXTURES / "asym2x2.json")
+    src = tmp_path / "sys.json"
+    write_json(src, system_to_obj(unbroken_system(4, 2, 2, 0)))
+    return str(src)
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("system", ["frozen_422", "asymmetric"])
+def test_evolve_non_finite_horizon_is_input_error(tmp_path, capsys, system, t_max):
+    src = _evolve_input(tmp_path, system)
+    out = tmp_path / "trace.csv"
+    assert main(["evolve", "--input", src, f"--t-max={t_max}", "--out", str(out)]) == 1
+    assert "t_max must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system", ["frozen_422", "asymmetric"])
+def test_evolve_overflowing_samples_are_numerical_failure(tmp_path, capsys, system):
+    src = _evolve_input(tmp_path, system)
+    out = tmp_path / "trace.csv"
+    assert main(["evolve", "--input", src, "--t-max", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite inner product at t = " in err
+    assert "max_drift" not in err
+    assert not out.exists()
 
 
 def test_console_entry_point_subprocess(tmp_path):

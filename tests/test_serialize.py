@@ -111,3 +111,21 @@ def test_trace_csv_format(rng, tmp_path):
     assert len(lines) == 6
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
+
+
+def test_trace_csv_matches_fmt17_rows():
+    import io
+
+    times = np.array([0.0, 1e-300, 0.1, 1e300, 2.5, 7.0])
+    vals = np.array(
+        [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e300, -1e300),
+         complex(np.inf, -np.inf), complex(np.nan, 0.1), complex(1 / 3, -2 / 3)]
+    )
+    trace = pt.EvolutionTrace(times=times, inner_products=vals, max_drift=0.0)
+    buf = io.StringIO()
+    ser.write_trace_csv(buf, trace)
+    want = "t,re_inner,im_inner\n" + "".join(
+        f"{ser.fmt17(t)},{ser.fmt17(z.real)},{ser.fmt17(z.imag)}\n" for t, z in zip(times, vals)
+    )
+    assert buf.getvalue() == want
+    assert ",-0," in want and "e-324" in want and "inf" in want and "nan" in want
