@@ -8,7 +8,9 @@ forms.
 
 __version__ = "0.1.0"
 
-from .algebra import build_c_operator, build_weight_matrix, cpt_inner, pt_conjugate, pt_inner
+from .algebra import (
+    build_c_operator, build_weight_matrix, c_operator, cpt_inner, pt_conjugate, pt_inner,
+)
 from .closedform import (
     ThreeByThreeParityParams,
     TwoByTwoParams,
@@ -89,6 +91,7 @@ __all__ = [
     "build_c_operator",
     "build_weight_matrix",
     "c2",
+    "c_operator",
     "classify_matrix",
     "classify_phase",
     "count_parity_params",

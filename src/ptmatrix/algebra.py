@@ -16,14 +16,12 @@ import numpy as np
 from .construct import PTSystem
 from .errors import BrokenPhaseError, ExceptionalPointError
 from .linalg import DEFAULT_TOL, as_matrix
-from .spectral import Phase, classify_phase, pt_apply
+from .spectral import Phase, SpectralData, classify_phase, pt_apply
 
 WEIGHT_COND_LIMIT = 1e8
 
-
-def pt_conjugate(v, p) -> np.ndarray:
-    """PT-conjugate row of a ket: [P conj(v)]^T, returned as a 1-D array."""
-    return pt_apply(v, p)
+# PT-conjugate row of a ket, [P conj(v)]^T: as a 1-D array it is P conj(v)
+pt_conjugate = pt_apply
 
 
 def pt_inner(a, b, p) -> complex:
@@ -35,28 +33,28 @@ def pt_inner(a, b, p) -> complex:
     return complex(pt_conjugate(av, p) @ bv)
 
 
-def build_c_operator(sys: PTSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """C as the sum of |v)(v| over PT-normalized phase-fixed eigenvectors.
-
-    Requires the unbroken phase. Raises ExceptionalPointError when a PT norm
-    vanishes (eigenvectors coalescing).
-    """
-    data = classify_phase(sys, tol)
+def c_operator(data: SpectralData, p, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """C = sum_k v_k (P conj v_k)^T / |(v_k|v_k)| over the phase-fixed eigenvectors
+    of an unbroken classification, so that C v_k = s_k v_k. Raises ExceptionalPointError
+    when a PT norm is below tol (eigenvectors coalescing)."""
     if data.phase is Phase.BROKEN:
         raise BrokenPhaseError("the C operator exists only in the unbroken phase")
     if data.phase is Phase.EXCEPTIONAL:
         raise ExceptionalPointError("no C operator at an exceptional point")
-    n = sys.dim
-    c = np.zeros((n, n), dtype=np.complex128)
-    for pair in data.pairs:
-        nrm = pt_inner(pair.vector, pair.vector, sys.p)
-        if abs(nrm) < tol:
-            raise ExceptionalPointError(
-                f"vanishing PT norm {abs(nrm):.3e}: exceptional point"
-            )
-        vhat = pair.vector / np.sqrt(abs(nrm))
-        c += np.outer(vhat, pt_conjugate(vhat, sys.p))
-    return c
+    pm = as_matrix(p)
+    v = np.reshape([pair.vector for pair in data.pairs], pm.shape).T
+    rows = pm @ v.conj()  # column k is the PT conjugate of v_k
+    norms = np.abs(np.einsum("ik,ik->k", rows, v))
+    if (norms < tol).any():
+        raise ExceptionalPointError(
+            f"vanishing PT norm {norms.min():.3e}: exceptional point"
+        )
+    return (v / norms) @ rows.T
+
+
+def build_c_operator(sys: PTSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """C of the system's own classification; see c_operator."""
+    return c_operator(classify_phase(sys, tol), sys.p, tol)
 
 
 def cpt_inner(a, b, c, p) -> complex:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import build_c_operator
+from .algebra import c_operator
 from .closedform import TwoByTwoParams, h2, p2
 from .construct import (
     PTSystem,
@@ -161,7 +161,7 @@ def cmd_analyze(args) -> int:
         "classes": sorted(c.value for c in classify_matrix(sys_.h, sys_.p, args.tol)),
     }
     if data.phase is Phase.UNBROKEN:
-        c = build_c_operator(sys_, args.tol)
+        c = c_operator(data, sys_.p, args.tol)
         report["c_matrix"] = matrix_to_obj(c)
         report["invariant_residuals"]["c_squared"] = max_abs(c @ c - eye)
         report["invariant_residuals"]["c_h_commutator"] = max_abs(c @ sys_.h - sys_.h @ c)
@@ -285,7 +285,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _pick_state(spec: str, data, dim: int) -> np.ndarray:
     kind, _, arg = spec.partition(":")
-    if kind == "eig":
+    if kind == "eig" and arg.isdigit():  # no sign: "-1" would count from the end
         try:
             return data.pairs[int(arg)].vector.copy()
         except (IndexError, ValueError) as exc:
@@ -323,9 +323,7 @@ def cmd_evolve(args) -> int:
 
     sys_ = system_from_obj(obj, tol=args.tol)
     data = classify_phase(sys_, args.tol)
-    if data.phase is not Phase.UNBROKEN:
-        raise BrokenPhaseError(f"evolve needs an unbroken system, got {data.phase.value}")
-    c = build_c_operator(sys_, args.tol)
+    c = c_operator(data, sys_.p, args.tol)  # raises unless data is unbroken
     a = _pick_state(args.state, data, sys_.dim)
     b = _pick_state(args.state2, data, sys_.dim) if args.state2 else a.copy()
     trace = unitarity_trace(

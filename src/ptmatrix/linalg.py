@@ -102,14 +102,8 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
     w = w[order]
     v = v[:, order]
 
-    gap = CLUSTER_REL_GAP * max(np.linalg.norm(a), 1e-300)
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and abs(w[i] - w[i - 1]) <= gap:
-            continue
-        if i - start > 1:
-            _bilinear_orthogonalize(v, start, i)
-        start = i
+    for cols in clusters(w, a):
+        _bilinear_orthogonalize(v, cols)
 
     res = np.linalg.norm(a @ v - v * w, axis=0)
     bad = float(res.max()) if n else 0.0
@@ -122,7 +116,17 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
     return w, v, res
 
 
-def _bilinear_orthogonalize(v: np.ndarray, start: int, stop: int) -> None:
+def clusters(w: np.ndarray, m: np.ndarray) -> list[range]:
+    """Index runs of sorted eigenvalues w whose neighbours lie within
+    CLUSTER_REL_GAP * ||m||_F of each other."""
+    gap = CLUSTER_REL_GAP * max(float(np.linalg.norm(m)), 1e-300)
+    vals = w.tolist()
+    cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
+    edges = [0, *cuts, len(vals)] if vals else []
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> None:
     """Modified Gram-Schmidt under v^T v on one eigenvalue cluster, in place.
 
     Isotropic pivots (|v^T v| below floor) are skipped, and a column that
@@ -130,9 +134,9 @@ def _bilinear_orthogonalize(v: np.ndarray, start: int, stop: int) -> None:
     input) is reverted; callers that care detect both situations via the
     exceptional-point checks downstream.
     """
-    for j in range(start + 1, stop):
+    for j in cols[1:]:
         candidate = v[:, j].copy()
-        for i in range(start, j):
+        for i in range(cols.start, j):
             den = v[:, i] @ v[:, i]
             if abs(den) <= ISOTROPY_FLOOR:
                 continue
@@ -177,8 +181,15 @@ def mat_exp_times(m, scalar: complex, tol: float = DEFAULT_TOL,
                   cond_cap: float = COND_CAP) -> np.ndarray:
     """exp(scalar * m) through the eigendecomposition S exp(scalar L) S^-1.
 
-    Raises ExceptionalPointError when the eigenvector matrix is numerically
-    singular (defective input, e.g. at an exceptional point).
+    Raises ValueError for a non-finite scalar, ConvergenceError for a
+    non-finite result, and ExceptionalPointError when the eigenvector matrix
+    is numerically singular (defective input, e.g. at an exceptional point).
     """
+    if not np.isfinite(scalar):
+        raise ValueError(f"scalar must be finite, got {scalar}")
     w, v, vinv = diagonalize(m, tol, cond_cap)
-    return (v * np.exp(scalar * w)) @ vinv
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (v * np.exp(scalar * w)) @ vinv
+    if not np.isfinite(out).all():
+        raise ConvergenceError(f"exp(scalar * m) is not finite at scalar = {scalar!r}")
+    return out

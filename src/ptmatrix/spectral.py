@@ -15,7 +15,7 @@ import numpy as np
 
 from .construct import PTSystem, make_h0, random_blocks, random_pt_system
 from .errors import BrokenPhaseError, CollinearityError, ExceptionalPointError
-from .linalg import CLUSTER_REL_GAP, DEFAULT_TOL, EigenPair, eig_arrays
+from .linalg import DEFAULT_TOL, EigenPair, clusters, eig_arrays
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
 # when eigenvectors coalesce; for the two-level family the value equals
@@ -124,8 +124,26 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     v = v.copy()
     n = w.shape[0]
 
-    iso = np.array([abs(v[:, k] @ v[:, k]) for k in range(n)])
-    if iso.size and iso.min() < EP_ISOTROPY_TOL:
+    exceptional = bool(n and np.abs(np.einsum("ik,ik->k", v, v)).min() < EP_ISOTROPY_TOL)
+    real_mask = _real_eigenvalues(w, tol)
+    if not exceptional and not bool(real_mask.all()):
+        return SpectralData(
+            pairs=_pairs(sys.h, w, v),
+            phase=Phase.BROKEN,
+            real_count=int(real_mask.sum()),
+            conjugate_pairs=_match_conjugates(w[~real_mask], tol),
+            pt_norm_signs=None,
+        )
+    if not exceptional:
+        try:
+            for cols in clusters(w, sys.h):
+                if len(cols) == 1:
+                    v[:, cols.start] = fix_pt_phase(v[:, cols.start], sys.p, tol)
+                else:
+                    _pt_fix_cluster(v, cols, sys.p, tol)
+        except CollinearityError:
+            exceptional = True
+    if exceptional:
         return SpectralData(
             pairs=_pairs(sys.h, w, v),
             phase=Phase.EXCEPTIONAL,
@@ -133,48 +151,18 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
             conjugate_pairs=0,
             pt_norm_signs=None,
         )
-
-    real_mask = np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))
-    if bool(real_mask.all()):
-        gap = CLUSTER_REL_GAP * max(float(np.linalg.norm(sys.h)), 1e-300)
-        try:
-            start = 0
-            for i in range(1, n + 1):
-                if i < n and abs(w[i] - w[i - 1]) <= gap:
-                    continue
-                if i - start == 1:
-                    v[:, start] = fix_pt_phase(v[:, start], sys.p, tol)
-                else:
-                    _pt_fix_cluster(v, range(start, i), sys.p, tol)
-                start = i
-        except CollinearityError:
-            return SpectralData(
-                pairs=_pairs(sys.h, w, v),
-                phase=Phase.EXCEPTIONAL,
-                real_count=0,
-                conjugate_pairs=0,
-                pt_norm_signs=None,
-            )
-        signs = np.array(
-            [1 if (v[:, k] @ v[:, k]).real > 0.0 else -1 for k in range(n)],
-            dtype=np.int64,
-        )
-        return SpectralData(
-            pairs=_pairs(sys.h, w, v),
-            phase=Phase.UNBROKEN,
-            real_count=n,
-            conjugate_pairs=0,
-            pt_norm_signs=signs,
-        )
-
-    pair_count = _match_conjugates(w[~real_mask], tol)
     return SpectralData(
         pairs=_pairs(sys.h, w, v),
-        phase=Phase.BROKEN,
-        real_count=int(real_mask.sum()),
-        conjugate_pairs=pair_count,
-        pt_norm_signs=None,
+        phase=Phase.UNBROKEN,
+        real_count=n,
+        conjugate_pairs=0,
+        pt_norm_signs=np.where(np.einsum("ik,ik->k", v, v).real > 0.0, 1, -1),
     )
+
+
+def _real_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of eigenvalues whose imaginary part is within tol * max(1, |w|)."""
+    return np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))
 
 
 def _pairs(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[EigenPair]:
@@ -247,7 +235,7 @@ def find_unbroken_seeds(
         rng = np.random.default_rng(seed)
         h0 = make_h0(random_blocks(rng, *signature))
         w, _, _ = eig_arrays(h0, tol)
-        if bool((np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))).all()):
+        if bool(_real_eigenvalues(w, tol).all()):
             sys = random_pt_system(dim, signature, seed)
             if classify_phase(sys, tol).phase is Phase.UNBROKEN:
                 found.append(seed)

@@ -3,7 +3,8 @@ import pytest
 
 import ptmatrix as pt
 
-from conftest import random_state, unbroken_system
+from _seeds import UNBROKEN_SEEDS
+from conftest import random_state, unbroken_system, unbroken_systems
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -70,11 +71,50 @@ def test_c_operator_reduces_to_parity():
 
 
 def test_c_operator_eigenaction():
-    sys = two_level_system(0.0, 0.4, 1.0, 0.6)
-    c = pt.build_c_operator(sys)
+    systems = [two_level_system(0.0, 0.4, 1.0, 0.6), *unbroken_systems(8, 6, 2, 50)]
+    for sys in systems:
+        c = pt.build_c_operator(sys)
+        data = pt.classify_phase(sys)
+        for pair, sign in zip(data.pairs, data.pt_norm_signs):
+            np.testing.assert_allclose(c @ pair.vector, sign * pair.vector, atol=1e-10)
+
+
+def _outer_product_c(sys):
+    """C as a per-pair loop: sum of vhat (P conj vhat)^T over the phase-fixed
+    eigenvectors, with vhat = v / sqrt(|(v|v)|)."""
+    c = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for pair in pt.classify_phase(sys).pairs:
+        vhat = pair.vector / np.sqrt(abs(pt.pt_inner(pair.vector, pair.vector, sys.p)))
+        c += np.outer(vhat, pt.pt_conjugate(vhat, sys.p))
+    return c
+
+
+def test_c_operator_matches_outer_product_loop():
+    systems = [unbroken_system(*key, idx) for key in UNBROKEN_SEEDS for idx in range(5)]
+    # H = I: one degenerate cluster, phase-fixed as a block
+    systems.append(pt.pt_system_from_matrices(np.eye(2), pt.p2(1.3)))
+    for sys in systems:
+        ref = _outer_product_c(sys)
+        c = pt.build_c_operator(sys)
+        assert pt.max_abs(c - ref) <= 1e-12 * max(1.0, pt.max_abs(ref)), sys.dim
+
+
+def test_c_operator_reuses_a_classification():
+    sys = unbroken_system(8, 6, 2, 0)
     data = pt.classify_phase(sys)
-    for pair, sign in zip(data.pairs, data.pt_norm_signs):
-        np.testing.assert_allclose(c @ pair.vector, sign * pair.vector, atol=1e-10)
+    np.testing.assert_array_equal(pt.c_operator(data, sys.p), pt.build_c_operator(sys))
+    broken = two_level_system(0.0, 2.0, 1.0, 0.0)
+    with pytest.raises(pt.BrokenPhaseError):
+        pt.c_operator(pt.classify_phase(broken), broken.p)
+
+
+def test_c_operator_vanishing_pt_norm_raises():
+    # (v|v) = 0 for v = (1, i)/sqrt(2) under the swap parity
+    v = np.array([1.0, 1j]) / np.sqrt(2.0)
+    pairs = [pt.EigenPair(0.0, v, 0.0), pt.EigenPair(1.0, v.conj(), 0.0)]
+    data = pt.SpectralData(pairs, pt.Phase.UNBROKEN, 2, 0, np.array([1, -1]))
+    with pytest.raises(pt.ExceptionalPointError, match="vanishing PT norm"):
+        pt.c_operator(data, SWAP)
 
 
 def test_c_operator_broken_raises():

@@ -251,6 +251,39 @@ def test_evolve_random_state_unitary(tmp_path, capsys):
     assert drift <= 1e-8
 
 
+@pytest.mark.parametrize("spec", ["eig:-1", "eig:-2", "eig:2", "eig:x"])
+def test_evolve_eigenstate_index_out_of_range(tmp_path, capsys, spec):
+    src = tmp_path / "sys.json"
+    sys_ = pt.pt_system_from_matrices(
+        pt.h2(pt.TwoByTwoParams(0.1, 0.4, 1.0, 0.7)), pt.p2(0.7)
+    )
+    write_json(src, system_to_obj(sys_))
+    assert main(["evolve", "--input", str(src), "--state", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and repr(spec) in err
+
+
+@pytest.mark.parametrize("command,solves", [("analyze", 1), ("evolve", 2)])
+def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, command, solves):
+    # analyze classifies once; evolve classifies once and diagonalizes once
+    # for the propagator; C is built from the classification, not solved again
+    calls = []
+    original = pt.linalg.eig_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    src = tmp_path / "sys.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    for module in (pt.linalg, pt.spectral):
+        monkeypatch.setattr(module, "eig_arrays", counted)
+    argv = [command, "--input", str(src), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == solves
+
+
 def test_evolve_broken_system_fails(tmp_path, capsys):
     src = tmp_path / "sys.json"
     sys_ = pt.pt_system_from_matrices(

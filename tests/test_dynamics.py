@@ -48,6 +48,19 @@ def test_evolve_exceptional_raises():
         pt.evolve(sys, np.array([1.0, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_evolve_non_finite_time_rejected(rng, t):
+    sys = unbroken_system(4, 2, 2, 0)
+    with pytest.raises(ValueError, match="must be finite"):
+        pt.evolve(sys, random_state(rng, 4), t)
+
+
+def test_evolve_overflow_raises(rng):
+    sys = unbroken_system(4, 2, 2, 0)
+    with pytest.raises(pt.ConvergenceError, match="not finite"):
+        pt.evolve(sys, random_state(rng, 4), 1e308)
+
+
 def test_unitarity_trace_eigenstate_constant():
     sys = unbroken_system(4, 2, 2, 2)
     c = pt.build_c_operator(sys)

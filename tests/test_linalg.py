@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmatrix as pt
-from ptmatrix.linalg import eig_arrays
+from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -119,6 +119,16 @@ def test_degenerate_cluster_is_bilinear_orthogonal():
     for i in range(3):
         for j in range(i + 1, 3):
             assert abs(v[:, i] @ v[:, j]) <= 1e-10
+
+
+def test_clusters_split_just_above_the_gap():
+    m = np.diag([3.0, 4.0])  # ||m||_F = 5
+    gap = CLUSTER_REL_GAP * 5.0
+    w = np.array([-gap, 0.0, np.nextafter(gap, np.inf), 1.0], dtype=complex)
+    # |0 - (-gap)| is exactly the gap (joined); the next step is one ulp above
+    assert clusters(w, m) == [range(0, 2), range(2, 3), range(3, 4)]
+    assert clusters(w[:0], m) == []
+    assert clusters(np.zeros(3, dtype=complex), m) == [range(0, 3)]
 
 
 def test_eigendecompose_rejects_bad_input():
