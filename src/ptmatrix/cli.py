@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 
@@ -19,12 +20,14 @@ from . import __version__
 from .algebra import c_operator
 from .closedform import TwoByTwoParams, h2, p2
 from .construct import (
-    PTSystem,
+    BlockForm,
+    ParitySpec,
+    check_pt_pairs,
     classify_matrix,
     count_parity_params,
+    make_pt_system,
     max_signature,
     parameter_table,
-    pt_system_from_matrices,
     random_pt_system,
 )
 from .dynamics import nonunitarity_demo, unitarity_trace
@@ -47,7 +50,7 @@ from .serialize import (
     write_json,
     write_trace_csv,
 )
-from .spectral import Phase, classify_phase
+from .spectral import Phase, PhaseStack, classify_phase, classify_stack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,6 +58,12 @@ EXIT_NUMERICAL = 2
 EXIT_UNITARITY = 3
 
 DRIFT_FLAG_THRESHOLD = 1e-6
+# sweep grid points classified per stacked solve: large enough that per-point
+# Python work is gone, small enough that memory does not grow with the grid
+SWEEP_BLOCK = 512
+# what a grid point can raise; main maps each to its exit code
+_POINT_ERRORS = (ValueError, ConvergenceError, ExceptionalPointError, BrokenPhaseError,
+                 CollinearityError)
 
 
 class UsageError(Exception):
@@ -196,27 +205,42 @@ def cmd_counts(args) -> int:
 
 
 def _sweep_grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo + k * step for k = 0, 1, ... while at most hi (plus a relative 1e-12)."""
+    for flag, x in (("--lo", lo), ("--hi", hi), ("--step", step)):
+        if not math.isfinite(x):
+            raise UsageError(f"{flag} must be finite, got {x}")
     if step <= 0.0:
         raise UsageError("step must be positive")
-    values = []
-    k = 0
-    while True:
-        x = lo + k * step
-        if x > hi + 1e-12 * max(1.0, abs(hi)):
-            break
-        values.append(x)
-        k += 1
-    return values
+    limit = hi + 1e-12 * max(1.0, abs(hi))
+    steps = (limit - lo) / step
+    if not math.isfinite(steps):
+        raise UsageError(f"--step {step} is too small for the range [{lo}, {hi}]")
+    # two past the quotient: one for k = 0, one for the quotient's round-off
+    xs = lo + np.arange(max(0, math.floor(steps) + 2)) * step
+    return xs[xs <= limit].tolist()
 
 
-def _sweep_system(args, value: float, base_obj) -> PTSystem:
-    if args.input is None:
-        if args.param not in ("r", "s", "t", "phi"):
-            raise UsageError("two-level sweeps accept --param r|s|t|phi")
+def _two_level_points(args):
+    """points(values) -> (H, P, None): stacks of the two-level family along --param."""
+    if args.param not in ("r", "s", "t", "phi"):
+        raise UsageError("two-level sweeps accept --param r|s|t|phi")
+
+    def points(values):
         base = {"r": args.r, "s": args.s, "t": args.t, "phi": args.phi}
-        base[args.param] = value
+        base[args.param] = np.array(values)
         params = TwoByTwoParams(**base)
-        return pt_system_from_matrices(h2(params), p2(params.phi))
+        h = h2(params)
+        p = np.broadcast_to(p2(params.phi), h.shape)
+        return h, p, None
+
+    return points
+
+
+def _block_points(args, base_obj):
+    """points(values) -> (H, P, error): stacks of the base system along one
+    block entry, built point by point with make_pt_system. A point that fails
+    to build ends the stacks early; its error is returned, for the caller to
+    raise once the points before it are classified."""
     prov = base_obj.get("provenance") or {}
     if "blocks" not in prov or "signature" not in prov or "angles" not in prov:
         raise UsageError("base system JSON lacks construction provenance for sweeping")
@@ -225,51 +249,87 @@ def _sweep_system(args, value: float, base_obj) -> PTSystem:
         raise UsageError(f"unknown sweep parameter {args.param!r}")
     name, i, j = m.group(1), int(m.group(2)), int(m.group(3))
     blocks = block_form_from_obj(prov["blocks"])
-    arrs = {"A": blocks.a_block.copy(), "B": blocks.b_block.copy(), "C": blocks.c_block.copy()}
-    target = arrs[name]
-    if not (0 <= i < target.shape[0] and 0 <= j < target.shape[1]):
+    base = {"A": blocks.a_block, "B": blocks.b_block, "C": blocks.c_block}
+    if not (0 <= i < base[name].shape[0] and 0 <= j < base[name].shape[1]):
         raise UsageError(f"index [{i},{j}] out of range for block {name}")
-    target[i, j] = value
-    if name in ("A", "C"):
-        target[j, i] = value  # keep the block symmetric
-    from .construct import BlockForm, ParitySpec, make_pt_system
-
     mp, mm = (int(x) for x in prov["signature"])
     spec = ParitySpec(m_plus=mp, m_minus=mm, angles=np.array(prov["angles"]))
-    return make_pt_system(
-        BlockForm(a_block=arrs["A"], b_block=arrs["B"], c_block=arrs["C"]), spec
-    )
+
+    def points(values):
+        systems = []
+        error = None
+        for value in values:
+            arrs = {key: block.copy() for key, block in base.items()}
+            arrs[name][i, j] = value
+            if name in ("A", "C"):
+                arrs[name][j, i] = value  # keep the block symmetric
+            try:
+                systems.append(make_pt_system(
+                    BlockForm(a_block=arrs["A"], b_block=arrs["B"], c_block=arrs["C"]), spec
+                ))
+            except ValueError as exc:
+                error = exc
+                break
+        shape = (len(systems), spec.dim, spec.dim)
+        h = np.array([x.h for x in systems], dtype=np.complex128).reshape(shape)
+        p = np.array([x.p for x in systems], dtype=np.complex128).reshape(shape)
+        return h, p, error
+
+    return points
+
+
+def _classify_points(h: np.ndarray, p: np.ndarray, tol: float, check: bool) -> PhaseStack:
+    """classify_stack of a block of grid points (after check_pt_pairs when
+    check is set). When the block fails, its points are re-run one at a time
+    so the error raised is the first failing point's own, as a point-by-point
+    sweep would report it."""
+    try:
+        if check:
+            check_pt_pairs(h, p)
+        return classify_stack(h, p, tol)
+    except _POINT_ERRORS:
+        for n in range(h.shape[0]):
+            if check:
+                check_pt_pairs(h[n:n + 1], p[n:n + 1])
+            classify_stack(h[n:n + 1], p[n:n + 1], tol)
+        raise
+
+
+def _min_gaps(w: np.ndarray) -> np.ndarray:
+    """Smallest |w_i - w_j| over the pairs of each row of an (N, D) stack, 0
+    when D = 1. np.hypot on the parts equals Python's abs of a complex bit for
+    bit; numpy's complex abs can differ from both by an ulp."""
+    i, j = np.triu_indices(w.shape[1], 1)
+    if not i.size:
+        return np.zeros(w.shape[0])
+    diff = w[:, i] - w[:, j]
+    return np.hypot(diff.real, diff.imag).min(axis=1)
 
 
 def cmd_sweep(args) -> int:
     values = _sweep_grid(args.lo, args.hi, args.step)
     if args.input is None:
-        base_obj = None
         dim = 2
+        points = _two_level_points(args)
     else:
         base_obj = read_json(args.input)
         dim = int(base_obj.get("dim", 0))
         if dim < 1:
             raise UsageError("base system JSON lacks a dimension")
-    rows = []
-    for value in values:
-        sys_ = _sweep_system(args, value, base_obj)
-        data = classify_phase(sys_, args.tol)
-        w = [p.value for p in data.pairs]
-        gap = (
-            min(abs(a - b) for k, a in enumerate(w) for b in w[k + 1:])
-            if len(w) > 1
-            else 0.0
-        )
-        rows.append((value, w, data.phase.value, gap))
-    eig_cols = ",".join(f"re_{k},im_{k}" for k in range(dim)) + ","
+        points = _block_points(args, base_obj)
+    eig_cols = "".join(f"re_{k},im_{k}," for k in range(dim))
     out = io.StringIO()
     out.write(f"value,{eig_cols}phase,min_gap\n")
-    for value, w, phase, gap in rows:
-        eigs = ",".join(f"{fmt17(z.real)},{fmt17(z.imag)}" for z in w)
-        if eigs:
-            eigs += ","
-        out.write(f"{fmt17(value)},{eigs}{phase},{fmt17(gap)}\n")
+    for lo in range(0, len(values), SWEEP_BLOCK):
+        block = values[lo:lo + SWEEP_BLOCK]
+        h, p, build_error = points(block)
+        data = _classify_points(h, p, args.tol, check=args.input is None)
+        if build_error is not None:
+            raise build_error
+        # viewed as floats, each row of w is re_0, im_0, re_1, ... in CSV order
+        row = "{:.17g}," * (1 + 2 * data.w.shape[1]) + "{},{:.17g}\n"
+        rows = zip(block, data.w.view(np.float64).tolist(), data.phases, _min_gaps(data.w).tolist())
+        out.writelines(row.format(value, *parts, phase.value, gap) for value, parts, phase, gap in rows)
     _emit(out.getvalue(), args.out)
     return EXIT_OK
 

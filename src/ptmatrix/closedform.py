@@ -43,18 +43,23 @@ class ThreeByThreeParityParams:
 
 
 def h2(params: TwoByTwoParams) -> np.ndarray:
+    """The two-level H; parameters given as arrays broadcast to an (..., 2, 2) stack."""
     r, s, t, phi = params.r, params.s, params.t, params.phi
     cp, sp = np.cos(phi), np.sin(phi)
     off = 1j * s * cp + t * sp
-    return np.array(
-        [[r + t * cp - 1j * s * sp, off], [off, r - t * cp + 1j * s * sp]],
-        dtype=np.complex128,
-    )
+    return _mat2(r + t * cp - 1j * s * sp, off, off, r - t * cp + 1j * s * sp)
 
 
-def p2(phi: float) -> np.ndarray:
+def p2(phi) -> np.ndarray:
+    """The two-level parity; an array of angles gives an (..., 2, 2) stack."""
     cp, sp = np.cos(phi), np.sin(phi)
-    return np.array([[cp, sp], [sp, -cp]], dtype=np.complex128)
+    return _mat2(cp, sp, sp, -cp)
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """Complex [[a, b], [c, d]] over the broadcast shape of the entries."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2)).astype(np.complex128)
 
 
 def p3(params: ThreeByThreeParityParams) -> np.ndarray:

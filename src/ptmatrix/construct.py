@@ -183,24 +183,41 @@ def pt_system_from_matrices(h, p, provenance=None, tol: float = DEFAULT_TOL) -> 
     pm = as_matrix(p)
     if hm.shape != pm.shape:
         raise ValueError("H and P must share a dimension")
-    if max_abs(hm - hm.T) > SYMMETRY_TOL:
-        raise ValueError("H must be symmetric")
-    validate_parity(pm, tol)
-    if max_abs(pm @ hm.conj() @ pm - hm) > PT_COMMUTATION_TOL:
-        raise ValueError("H does not commute with the PT operation for this P")
+    if hm.shape[0] < 1:
+        raise ValueError("dimension must be at least 1")
+    check_pt_pairs(hm, pm, tol)
     return PTSystem(h=hm, p=pm, provenance=provenance or {})
+
+
+def check_pt_pairs(h: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Validate (h, p), or every (h[n], p[n]) of two (N, D, D) complex stacks, as
+    pt_system_from_matrices does: finite entries, H symmetric, P a real
+    symmetric involution, P conj(H) P = H. Raises ValueError for the first
+    check any row fails."""
+    if not (np.isfinite(h).all() and np.isfinite(p).all()):
+        raise ValueError("matrix contains NaN or Inf entries")
+    if max_abs(h - h.swapaxes(-1, -2)) > SYMMETRY_TOL:
+        raise ValueError("H must be symmetric")
+    _check_parities(p, tol)
+    if max_abs(p @ h.conj() @ p - h) > PT_COMMUTATION_TOL:
+        raise ValueError("H does not commute with the PT operation for this P")
 
 
 def validate_parity(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check that p is a real symmetric involution; return it as a matrix."""
     pm = as_matrix(p)
-    if not is_real(pm, tol):
-        raise ValueError("parity must be real")
-    if max_abs(pm - pm.T) > tol:
-        raise ValueError("parity must be symmetric")
-    if max_abs(pm @ pm - np.eye(pm.shape[0])) > max(tol, 1e-12):
-        raise ValueError("parity must square to the identity")
+    _check_parities(pm, tol)
     return pm
+
+
+def _check_parities(p: np.ndarray, tol: float) -> None:
+    """validate_parity of one matrix or of each matrix of a stack."""
+    if max_abs(p.imag) > tol:
+        raise ValueError("parity must be real")
+    if max_abs(p - p.swapaxes(-1, -2)) > tol:
+        raise ValueError("parity must be symmetric")
+    if max_abs(p @ p - np.eye(p.shape[-1])) > max(tol, 1e-12):
+        raise ValueError("parity must square to the identity")
 
 
 def count_parity_params(d: int, m_plus: int, m_minus: int) -> int:

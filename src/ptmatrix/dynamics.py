@@ -21,7 +21,9 @@ import numpy as np
 from .algebra import build_weight_matrix, pt_conjugate
 from .construct import PTSystem, validate_parity
 from .errors import ConvergenceError
-from .linalg import DEFAULT_TOL, as_matrix, diagonalize, eig_arrays, mat_exp_times, max_abs
+from .linalg import (
+    DEFAULT_TOL, as_matrix, diagonalize, eig_arrays, eigvec_inverse, mat_exp_times, max_abs,
+)
 
 COMMUTATOR_REL_THRESHOLD = 1e-3
 # samples evaluated per numpy pass over the time grid: large enough to leave
@@ -56,14 +58,13 @@ def evolve(sys: PTSystem, state, t: float, tol: float = DEFAULT_TOL) -> np.ndarr
     return mat_exp_times(sys.h, -1j * t, tol) @ vec
 
 
-def _propagator(h: np.ndarray, tol: float):
-    """One-time diagonalization H = V diag(w) V^-1; returns apply(state, times).
+def _propagator(w: np.ndarray, v: np.ndarray, vinv: np.ndarray):
+    """apply(state, times) for the matrix V diag(w) V^-1.
 
     apply gives a (len(times), D) array whose rows are exp(-iHt) state, one per
     t; a (k, D) stack of states gives (k, len(times), D) and shares one block
     of phases exp(-iwt) between them.
     """
-    w, v, vinv = diagonalize(h, tol)
     vt = v.T
     minus_iw = -1j * w
 
@@ -131,7 +132,7 @@ def unitarity_trace(
     # (a|b) = conj(a)^T P^T b and <a|b> = (C P conj(a))^T b = conj(a)^T P^T C^T b
     form = sys.p.T if product == "pt" else (as_matrix(c) @ sys.p).T
     times = _grid(t_max, steps)
-    apply = _propagator(sys.h, tol)
+    apply = _propagator(*diagonalize(sys.h, tol))
     states = np.stack([av, bv])
 
     def block_values(block: np.ndarray) -> np.ndarray:
@@ -164,6 +165,7 @@ def nonunitarity_demo(
     pm = validate_parity(p, tol)
     w, v, _ = eig_arrays(h, tol)
     weight = build_weight_matrix([v[:, k] for k in range(h.shape[0])], pm)
+    vinv = eigvec_inverse(v)
     comm = max_abs(weight @ h - h @ weight)
     scale = max_abs(h)
     conclusive = comm > COMMUTATOR_REL_THRESHOLD * max(scale, 1e-300)
@@ -175,10 +177,11 @@ def nonunitarity_demo(
     b /= np.linalg.norm(b)
 
     times = _grid(t_max, steps)
-    apply_ket = _propagator(h, tol)
+    apply_ket = _propagator(w, v, vinv)
     # the bra row evolves as (a,t| = (a,0| exp(+iHt); for symmetric H this is
-    # the same as PT-conjugating the evolved ket, for asymmetric H it is not
-    apply_bra = _propagator(h.T, tol)
+    # the same as PT-conjugating the evolved ket, for asymmetric H it is not.
+    # H^T = V^-T diag(w) V^T shares H's one decomposition (cond(V^T) = cond(V))
+    apply_bra = _propagator(w, vinv.T, v.T)
     row0 = pt_conjugate(a, pm)
 
     def block_values(block: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Dense complex matrix helpers and a general (non-Hermitian, non-symmetric)
-eigendecomposition for small dimensions (D <= 64).
+eigendecomposition of one matrix or of an (N, D, D) stack of them.
 
-Eigenpairs come from LAPACK zgeev (through numpy.linalg.eig); this module adds
-a deterministic order, bilinear orthogonalization of eigenvalue clusters and
-a residual check.
+Eigenpairs come from LAPACK zgeev (through numpy.linalg.eig, one batched call
+per stack); this module adds a deterministic order, bilinear orthogonalization
+of eigenvalue clusters and a residual check.
 
 Matrices are plain numpy arrays of complex128; everything here is a pure
 function of its inputs.
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, ExceptionalPointError
 
 DEFAULT_TOL = 1e-10
-MAX_DIM = 64
 COND_CAP = 1e8
 
 # eigenvalues closer than this (relative to ||m||_F) are treated as one cluster
@@ -85,35 +84,51 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
     Eigenvalues within 1e-8 * ||m||_F of each other are clustered and their
     vectors orthogonalized under the bilinear (non-conjugating) dot product,
     which is the product all PT machinery downstream is built on.
+
+    A (D, D) matrix gives shapes (D,), (D, D), (D,); an (N, D, D) stack gives
+    (N, D), (N, D, D), (N, D), row n holding what m[n] alone would give. The
+    residual bound applies to every row.
     """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
+    n = a.shape[-1]
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
 
     try:
-        w, v = np.linalg.eig(a)
+        w, v = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK zgeev did not converge for dimension {n}") from exc
 
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    rows = np.arange(w.shape[0])[:, None]
+    w = w[rows, order]
+    # sorting the rows of each V^T: every V stays column-major, as LAPACK gives it
+    v = v.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
 
-    for cols in clusters(w, a):
-        _bilinear_orthogonalize(v, cols)
+    for row, runs in multi_clusters(w, stack).items():
+        for cols in runs:
+            _bilinear_orthogonalize(v[row], cols)
 
-    res = np.linalg.norm(a @ v - v * w, axis=0)
-    bad = float(res.max()) if n else 0.0
+    res = column_norms(stack @ v - v * w[:, None, :])
+    bad = float(res.max()) if res.size else 0.0
     if bad > tol:
         raise ConvergenceError(
             f"eigenpair residual {bad:.3e} above tolerance {tol:.3e}; the "
             "input is ill-conditioned, or large-normed (the bound is "
             "absolute, so scale tol with the matrix norm)"
         )
+    if a.ndim == 2:
+        return w[0], v[0], res[0]
     return w, v, res
+
+
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of every column of a matrix, or of each matrix of a stack: what
+    np.linalg.norm(a, axis=-2) computes, without its per-call overhead."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2))
 
 
 def clusters(w: np.ndarray, m: np.ndarray) -> list[range]:
@@ -124,6 +139,24 @@ def clusters(w: np.ndarray, m: np.ndarray) -> list[range]:
     cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
     edges = [0, *cuts, len(vals)] if vals else []
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def multi_clusters(w: np.ndarray, stack: np.ndarray) -> dict[int, list[range]]:
+    """{row: clusters(w[row], stack[row])} for the rows of an (N, D) stack of
+    sorted eigenvalues that hold a cluster of two or more.
+
+    A vectorized screen, loose by a relative 1e-9 to cover the round-off of
+    numpy's complex abs and stacked norm, picks the candidate rows; the exact
+    walk of clusters decides each of them.
+    """
+    gap = CLUSTER_REL_GAP * np.sqrt(np.add.reduce(column_norms(stack) ** 2, axis=-1))
+    near = (np.abs(w[:, 1:] - w[:, :-1]) <= gap[:, None] * (1.0 + 1e-9)).any(axis=1)
+    found = {}
+    for row in near.nonzero()[0].tolist():
+        runs = clusters(w[row], stack[row])
+        if len(runs) < w.shape[1]:
+            found[row] = runs
+    return found
 
 
 def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> None:
@@ -163,18 +196,24 @@ def diagonalize(m, tol: float = DEFAULT_TOL,
                 cond_cap: float = COND_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues w, eigenvector columns V and V^-1, so that m = V diag(w) V^-1.
 
-    Raises ExceptionalPointError when cond(V) exceeds cond_cap (defective
-    input, e.g. at an exceptional point), where V^-1 would be meaningless.
+    Raises ExceptionalPointError when cond(V) exceeds cond_cap; see
+    eigvec_inverse.
     """
-    a = as_matrix(m)
-    w, v, _ = eig_arrays(a, tol)
+    w, v, _ = eig_arrays(as_matrix(m), tol)
+    return w, v, eigvec_inverse(v, cond_cap)
+
+
+def eigvec_inverse(v: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
+    """V^-1 of an eigenvector matrix, or ExceptionalPointError when cond(V)
+    exceeds cond_cap (defective input, e.g. at an exceptional point), where
+    V^-1 would be meaningless."""
     sing = np.linalg.svd(v, compute_uv=False)
     if sing[-1] <= 0.0 or sing[0] / sing[-1] > cond_cap:
         raise ExceptionalPointError(
             "eigenvector matrix is numerically singular; matrix is defective "
             "or too close to an exceptional point"
         )
-    return w, v, np.linalg.solve(v, np.eye(a.shape[0], dtype=np.complex128))
+    return np.linalg.solve(v, np.eye(v.shape[0], dtype=np.complex128))
 
 
 def mat_exp_times(m, scalar: complex, tol: float = DEFAULT_TOL,

@@ -41,7 +41,9 @@ def matrix_from_obj(obj) -> np.ndarray:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError("malformed matrix JSON") from exc
-    if dim < 1 or len(entries) != dim * dim:
+    if dim < 1:
+        raise ValueError(f"matrix JSON dim must be at least 1, got {dim}")
+    if len(entries) != dim * dim:
         raise ValueError(f"matrix JSON needs {dim * dim} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
     return flat.reshape(dim, dim)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .construct import PTSystem, make_h0, random_blocks, random_pt_system
 from .errors import BrokenPhaseError, CollinearityError, ExceptionalPointError
-from .linalg import DEFAULT_TOL, EigenPair, clusters, eig_arrays
+from .linalg import DEFAULT_TOL, EigenPair, column_norms, eig_arrays, multi_clusters
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
 # when eigenvectors coalesce; for the two-level family the value equals
@@ -49,34 +49,42 @@ def pt_apply(v, p) -> np.ndarray:
     return pm @ vec.conj()
 
 
-def _pt_eigenphase(v: np.ndarray, pv: np.ndarray, tol: float) -> float:
-    """Angle theta with pv ~ exp(i theta) v, or CollinearityError."""
-    nv2 = np.vdot(v, v).real
-    if nv2 <= 0.0:
+def _fix_columns(v: np.ndarray, p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """fix_pt_phase applied to every column of an (N, D, K) stack of vectors,
+    with the (N, D, D) stack of parities; returns the fixed stack and the
+    (N, K) PT-collinearity residuals. Columns whose residual exceeds tol are
+    returned rescaled all the same; the caller decides what a miss means."""
+    pv = p @ v.conj()
+    nv2 = np.einsum("nik,nik->nk", v.conj(), v).real
+    if (nv2 <= 0.0).any():
         raise ValueError("zero vector")
-    theta = float(np.angle(np.vdot(v, pv) / nv2))
-    resid = float(np.linalg.norm(pv - np.exp(1j * theta) * v)) / np.sqrt(nv2)
-    if resid > tol:
-        raise CollinearityError(
-            f"vector is not PT-collinear (residual {resid:.3e}); broken "
-            "symmetry or degeneracy"
-        )
-    return theta
+    theta = np.angle(np.einsum("nik,nik->nk", v.conj(), pv) / nv2)
+    resid = column_norms(pv - np.exp(1j * theta)[:, None, :] * v) / np.sqrt(nv2)
+    out = np.exp(1j * theta / 2.0)[:, None, :] * v
+    # the leftover sign: the largest-magnitude entry gets nonnegative real part
+    n, _, k = out.shape
+    top = out[np.arange(n)[:, None], np.abs(out).argmax(axis=1), np.arange(k)]
+    return np.where(top.real[:, None, :] < 0.0, -out, out), resid
 
 
 def fix_pt_phase(v, p, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rescale v by a unit phase so the PT operation fixes it.
 
     The leftover sign freedom is resolved by making the largest-magnitude
-    entry have nonnegative real part.
+    entry have nonnegative real part. Raises CollinearityError when P conj(v)
+    is not a phase times v.
     """
     vec = np.asarray(v, dtype=np.complex128)
-    theta = _pt_eigenphase(vec, pt_apply(vec, p), tol)
-    out = np.exp(1j * theta / 2.0) * vec
-    k = int(np.argmax(np.abs(out)))
-    if out[k].real < 0.0:
-        out = -out
-    return out
+    pm = np.asarray(p, dtype=np.complex128)
+    if vec.ndim != 1 or pm.shape != (vec.shape[0], vec.shape[0]):
+        raise ValueError("vector and parity dimensions do not match")
+    out, resid = _fix_columns(vec[None, :, None], pm[None], tol)
+    if resid[0, 0] > tol:
+        raise CollinearityError(
+            f"vector is not PT-collinear (residual {resid[0, 0]:.3e}); broken "
+            "symmetry or degeneracy"
+        )
+    return out[0, :, 0]
 
 
 def _pt_fix_cluster(v: np.ndarray, cols: range, p: np.ndarray, tol: float) -> None:
@@ -112,6 +120,37 @@ def _pt_fix_cluster(v: np.ndarray, cols: range, p: np.ndarray, tol: float) -> No
         v[:, j] = fix_pt_phase(v[:, j], p, tol)
 
 
+@dataclass(frozen=True)
+class PhaseStack:
+    """Classification of an (N, D, D) stack of systems, one row per system.
+
+    w, v and residuals are the eig_arrays stack, with the eigenvectors of
+    unbroken rows PT-phase-fixed; signs holds the PT-norm signs of unbroken
+    rows and 0 elsewhere.
+    """
+
+    w: np.ndarray
+    v: np.ndarray
+    residuals: np.ndarray
+    phases: list[Phase]
+    real_count: np.ndarray
+    conjugate_pairs: np.ndarray
+    signs: np.ndarray
+
+    def row(self, n: int) -> SpectralData:
+        phase = self.phases[n]
+        return SpectralData(
+            pairs=[
+                EigenPair(complex(self.w[n, k]), self.v[n, :, k].copy(), float(self.residuals[n, k]))
+                for k in range(self.w.shape[1])
+            ],
+            phase=phase,
+            real_count=int(self.real_count[n]),
+            conjugate_pairs=int(self.conjugate_pairs[n]),
+            pt_norm_signs=self.signs[n].copy() if phase is Phase.UNBROKEN else None,
+        )
+
+
 def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     """Unbroken, broken, or exceptional, with eigenpairs and norm signs.
 
@@ -120,43 +159,75 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     conjugates. Exceptional: an eigenvector is numerically isotropic
     (|v^T v| below threshold with unit L2 norm) or phase fixing fails.
     """
-    w, v, _ = eig_arrays(sys.h, tol)
-    v = v.copy()
-    n = w.shape[0]
+    return classify_stack(sys.h[None], sys.p[None], tol).row(0)
 
-    exceptional = bool(n and np.abs(np.einsum("ik,ik->k", v, v)).min() < EP_ISOTROPY_TOL)
+
+def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
+    """classify_phase of every (h[n], p[n]) of two (N, D, D) stacks at once.
+
+    The pairs are taken as given (see construct.check_pt_pairs). One batched
+    eigensolve serves the stack; Python runs per row only to pair the
+    conjugates of broken rows and to phase-fix rows holding an eigenvalue
+    cluster. A failure in any row (ConvergenceError, or ValueError for
+    unpaired conjugates) raises for the whole stack.
+    """
+    hs = np.asarray(h, dtype=np.complex128)
+    ps = np.asarray(p, dtype=np.complex128)
+    if hs.ndim != 3 or hs.shape[1] < 1 or ps.shape != hs.shape:
+        raise ValueError(
+            f"expected two (N, D, D) stacks of one shape with D >= 1, got {hs.shape} and {ps.shape}"
+        )
+    w, v, res = eig_arrays(hs, tol)
+    n, d = w.shape
+
+    iso = np.abs(np.einsum("nik,nik->nk", v, v))
+    exceptional = iso.min(axis=1) < EP_ISOTROPY_TOL
     real_mask = _real_eigenvalues(w, tol)
-    if not exceptional and not bool(real_mask.all()):
-        return SpectralData(
-            pairs=_pairs(sys.h, w, v),
-            phase=Phase.BROKEN,
-            real_count=int(real_mask.sum()),
-            conjugate_pairs=_match_conjugates(w[~real_mask], tol),
-            pt_norm_signs=None,
-        )
-    if not exceptional:
+    broken = ~exceptional & ~real_mask.all(axis=1)
+    conjugate_pairs = np.zeros(n, dtype=np.int64)
+    if broken.any():
+        for row, values, real in zip(
+            broken.nonzero()[0].tolist(), w[broken].tolist(), real_mask[broken].tolist()
+        ):
+            conjugate_pairs[row] = _match_conjugates([z for z, r in zip(values, real) if not r], tol)
+
+    # singleton columns of every row are fixed at once; the result is kept in
+    # the rows that are neither broken, exceptional, nor holding a cluster
+    runs = multi_clusters(w, hs)
+    single = ~exceptional & ~broken
+    single[list(runs)] = False
+    fixed, resid = _fix_columns(v, ps, tol)
+    collinear = ~(resid > tol).any(axis=1)
+    v = np.where((single & collinear)[:, None, None], fixed, v)
+    exceptional |= single & ~collinear
+    for row, cols_list in runs.items():
+        if exceptional[row] or broken[row]:
+            continue
         try:
-            for cols in clusters(w, sys.h):
+            for cols in cols_list:
                 if len(cols) == 1:
-                    v[:, cols.start] = fix_pt_phase(v[:, cols.start], sys.p, tol)
+                    v[row, :, cols.start] = fix_pt_phase(v[row, :, cols.start], ps[row], tol)
                 else:
-                    _pt_fix_cluster(v, cols, sys.p, tol)
+                    _pt_fix_cluster(v[row], cols, ps[row], tol)
         except CollinearityError:
-            exceptional = True
-    if exceptional:
-        return SpectralData(
-            pairs=_pairs(sys.h, w, v),
-            phase=Phase.EXCEPTIONAL,
-            real_count=0,
-            conjugate_pairs=0,
-            pt_norm_signs=None,
-        )
-    return SpectralData(
-        pairs=_pairs(sys.h, w, v),
-        phase=Phase.UNBROKEN,
-        real_count=n,
-        conjugate_pairs=0,
-        pt_norm_signs=np.where(np.einsum("ik,ik->k", v, v).real > 0.0, 1, -1),
+            exceptional[row] = True
+        # mixing a cluster's vectors moves their residuals; a phase does not
+        res[row] = column_norms(hs[row] @ v[row] - v[row] * w[row])
+
+    unbroken = ~exceptional & ~broken
+    phases = [
+        Phase.UNBROKEN if u else Phase.BROKEN if b else Phase.EXCEPTIONAL
+        for u, b in zip(unbroken.tolist(), broken.tolist())
+    ]
+    signs = np.where(np.einsum("nik,nik->nk", v, v).real > 0.0, 1, -1)
+    return PhaseStack(
+        w=w,
+        v=v,
+        residuals=res,
+        phases=phases,
+        real_count=np.where(broken, real_mask.sum(axis=1), np.where(unbroken, d, 0)),
+        conjugate_pairs=conjugate_pairs,
+        signs=np.where(unbroken[:, None], signs, 0),
     )
 
 
@@ -165,17 +236,9 @@ def _real_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))
 
 
-def _pairs(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[EigenPair]:
-    res = np.linalg.norm(h @ v - v * w, axis=0)
-    return [
-        EigenPair(complex(w[k]), v[:, k].copy(), float(res[k]))
-        for k in range(w.shape[0])
-    ]
-
-
-def _match_conjugates(values: np.ndarray, tol: float) -> int:
+def _match_conjugates(values: list[complex], tol: float) -> int:
     """Greedily pair each non-real eigenvalue with its conjugate partner."""
-    left = list(range(values.shape[0]))
+    left = list(range(len(values)))
     pairs = 0
     while left:
         i = left.pop(0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import ptmatrix as pt
-from ptmatrix.cli import main
+from ptmatrix.cli import SWEEP_BLOCK, main
 from ptmatrix.serialize import (
+    fmt17,
     read_json,
     system_matrices_from_obj,
     system_to_obj,
@@ -220,6 +221,168 @@ def test_sweep_bad_step(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lo", "nan"), ("--lo", "-inf"), ("--hi", "inf"), ("--hi", "nan"),
+    ("--step", "nan"), ("--step", "inf"),
+])
+def test_sweep_non_finite_bounds_rejected(capsys, flag, value):
+    bounds = {"--lo": "0", "--hi": "1", "--step": "0.5"}
+    bounds[flag] = value
+    argv = ["sweep", "--param", "s"] + [f"{k}={v}" for k, v in bounds.items()]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"{flag} must be finite" in err
+
+
+def test_sweep_grid_too_fine_for_its_range(capsys):
+    # (hi - lo) / step overflows to inf: a usage error, not a crash
+    assert main(["sweep", "--param", "s", "--lo", "0", "--hi", "1e300", "--step", "1e-300"]) == 1
+    assert "too small for the range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,code", [
+    (["--r", "nan"], 1), (["--t", "inf"], 1), (["--phi", "nan"], 1),
+    (["--t", "1e7"], 2),  # a residual above the absolute tolerance
+])
+def test_sweep_point_failures_keep_their_exit_code(capsys, extra, code):
+    argv = ["sweep", "--param", "s", *extra, "--lo", "0", "--hi", "2", "--step", "0.01"]
+    assert main(argv) == code
+    capsys.readouterr()
+
+
+def _grid_loop(lo, hi, step):
+    # the point-by-point grid: lo + k * step while at most hi (+ relative 1e-12)
+    values, k = [], 0
+    while lo + k * step <= hi + 1e-12 * max(1.0, abs(hi)):
+        values.append(lo + k * step)
+        k += 1
+    return values
+
+
+def _reference_sweep(make_system, values, dim):
+    """One classify_phase per grid point, formatted row by row."""
+    lines = ["value," + "".join(f"re_{k},im_{k}," for k in range(dim)) + "phase,min_gap"]
+    for x in values:
+        data = pt.classify_phase(make_system(x))
+        w = [p.value for p in data.pairs]
+        gap = min(abs(a - b) for k, a in enumerate(w) for b in w[k + 1:]) if len(w) > 1 else 0.0
+        eigs = "".join(f"{fmt17(z.real)},{fmt17(z.imag)}," for z in w)
+        lines.append(f"{fmt17(x)},{eigs}{data.phase.value},{fmt17(gap)}")
+    return lines
+
+
+TWO_LEVEL_BASE = {"r": 0.3, "s": 0.6, "t": 1.0, "phi": 0.9}
+# 2 * SWEEP_BLOCK + 3 points of s on multiples of 2^-8, so the blocks split
+# twice, the last block is short, and s = -t and s = t are grid points
+S_STEP = 2.0 ** -8
+S_LO = 1.0 - (SWEEP_BLOCK + 1) * S_STEP
+
+
+@pytest.mark.parametrize("param,lo,hi,step", [
+    ("s", S_LO, S_LO + (2 * SWEEP_BLOCK + 2) * S_STEP, S_STEP),
+    ("r", -1.0, 1.0, 0.05),
+    ("t", -1.5, 1.5, 0.05),
+    ("phi", 0.0, 6.3, 0.1),
+])
+def test_sweep_matches_point_by_point_reference(tmp_path, capsys, param, lo, hi, step):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--param", param]
+    for name, value in TWO_LEVEL_BASE.items():
+        if name != param:
+            argv += [f"--{name}", repr(value)]
+    argv += ["--lo", repr(lo), "--hi", repr(hi), "--step", repr(step), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def make_system(x):
+        params = pt.TwoByTwoParams(**{**TWO_LEVEL_BASE, param: x})
+        return pt.pt_system_from_matrices(pt.h2(params), pt.p2(params.phi))
+
+    values = _grid_loop(lo, hi, step)
+    got = out.read_text().splitlines()
+    assert got == _reference_sweep(make_system, values, 2)
+    if param == "s":
+        assert len(values) == 2 * SWEEP_BLOCK + 3
+        phases = {float(row.split(",")[0]): row.split(",")[5] for row in got[1:]}
+        assert phases[-1.0] == phases[1.0] == "exceptional"
+
+
+@pytest.mark.parametrize("key,param", [((8, 6, 2), "B[0,1]"), ((3, 2, 1), "A[0,1]")])
+def test_block_sweep_matches_point_by_point_reference(tmp_path, capsys, key, param):
+    base = unbroken_system(*key, 0)
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(base))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--input", str(src), "--param", param,
+            "--lo", "-2", "--hi", "2", "--step", "0.05", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    prov = base.provenance
+    spec = pt.ParitySpec(*prov["signature"], angles=np.array(prov["angles"]))
+    name, i, j = param[0], int(param[2]), int(param[4])
+
+    def make_system(x):
+        arrs = {k: np.array(v, dtype=float).reshape(-1, len(v[0]) if v and v[0] else 0)
+                for k, v in prov["blocks"].items()}
+        arrs[name][i, j] = x
+        if name in "AC":
+            arrs[name][j, i] = x
+        return pt.make_pt_system(pt.BlockForm(arrs["A"], arrs["B"], arrs["C"]), spec)
+
+    want = _reference_sweep(make_system, _grid_loop(-2.0, 2.0, 0.05), base.dim)
+    assert out.read_text().splitlines() == want
+    assert {row.split(",")[-2] for row in want[1:]} >= {"unbroken", "broken"}
+
+
+@pytest.mark.parametrize("tol,code,message", [
+    ("1e-10", 1, "input error: cannot build at 0.5"),
+    # with a tolerance no residual meets, the points before 0.5 fail first
+    ("1e-300", 2, "numerical failure: eigenpair residual"),
+])
+def test_block_sweep_build_failure_surfaces_in_grid_order(tmp_path, capsys, monkeypatch,
+                                                          tol, code, message):
+    def failing(blocks, spec):
+        if blocks.b_block[0, 0] == 0.5:
+            raise ValueError("cannot build at 0.5")
+        return pt.make_pt_system(blocks, spec)
+
+    monkeypatch.setattr("ptmatrix.cli.make_pt_system", failing)
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(unbroken_system(3, 2, 1, 0)))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "0", "--hi", "1",
+            "--step", "0.125", "--tol", tol, "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):
+    # the block holds an unpaired-conjugates point (input error) before a
+    # residual failure (numerical); the earlier point decides, as it would
+    # in a point-by-point sweep, though the stacked solve meets the later first
+    base = unbroken_system(3, 2, 1, 0)
+    big = 1e12 * (base.h + np.diag([0.3, 0.1, -0.2]))
+
+    def crafted(blocks, spec):
+        x = blocks.b_block[0, 0]
+        if x == 0.25:
+            return pt.PTSystem(h=np.diag([1j, 2j, 3j]), p=np.eye(3, dtype=complex))
+        if x == 0.75:
+            return pt.PTSystem(h=big, p=base.p)
+        return pt.make_pt_system(blocks, spec)
+
+    monkeypatch.setattr("ptmatrix.cli.make_pt_system", crafted)
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(base))
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]",
+            "--lo", "0", "--hi", "1", "--step", "0.125"]
+    assert main(argv) == 1
+    assert "do not pair into conjugates" in capsys.readouterr().err
+    assert main(argv[:-4] + ["--lo", "0.5", "--hi", "1", "--step", "0.125"]) == 2
+    assert "eigenpair residual" in capsys.readouterr().err
+
+
 def test_evolve_eigenstate_constant(tmp_path, capsys):
     src = tmp_path / "sys.json"
     sys_ = pt.pt_system_from_matrices(
@@ -282,6 +445,31 @@ def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, comman
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == solves
+
+
+def test_evolve_asymmetric_solves_once(capsys, monkeypatch):
+    # the weight, the ket propagator and the bra propagator (H^T = V^-T w V^T)
+    # share one decomposition of H
+    calls = []
+    original = pt.linalg.eig_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (pt.linalg, pt.spectral, pt.dynamics):
+        monkeypatch.setattr(module, "eig_arrays", counted)
+    assert main(["evolve", "--input", str(FIXTURES / "asym2x2.json")]) == 3
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_analyze_zero_dim_system_is_input_error(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    empty = {"dim": 0, "entries": []}
+    src.write_text(json.dumps({"dim": 0, "h": empty, "p": empty, "provenance": {}}))
+    assert main(["analyze", "--input", str(src)]) == 1
+    assert "dim must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_evolve_broken_system_fails(tmp_path, capsys):

@@ -221,3 +221,44 @@ def test_random_pt_system_reproducible():
     assert a.provenance == b.provenance
     c = pt.random_pt_system(5, (3, 2), 124)
     assert pt.max_abs(a.h - c.h) > 1e-3
+
+
+def test_pt_system_from_matrices_rejects_zero_dimension():
+    with pytest.raises(ValueError, match="at least 1"):
+        pt.pt_system_from_matrices(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def _two_level_stack(count):
+    h = pt.h2(pt.TwoByTwoParams(0.1, np.linspace(0.0, 2.0, count), 1.0, 0.7))
+    return h, np.broadcast_to(pt.p2(0.7), h.shape).copy()
+
+
+@pytest.mark.parametrize("row", [0, 4])
+@pytest.mark.parametrize("breakage,message", [
+    ("nan", "NaN or Inf"),
+    ("asymmetric", "H must be symmetric"),
+    ("complex_parity", "parity must be real"),
+    ("asymmetric_parity", "parity must be symmetric"),
+    ("non_involution", "parity must square to the identity"),
+    ("no_commutation", "does not commute with the PT operation"),
+])
+def test_check_pt_pairs_checks_every_row(row, breakage, message):
+    h, p = _two_level_stack(5)
+    pt.check_pt_pairs(h, p)
+    if breakage == "nan":
+        h[row, 0, 0] = np.nan
+    elif breakage == "asymmetric":
+        h[row, 0, 1] += 1e-6
+    elif breakage == "complex_parity":
+        p[row] = 1j * np.eye(2)
+    elif breakage == "asymmetric_parity":
+        p[row] = [[1.0, 0.5], [0.0, 1.0]]
+    elif breakage == "non_involution":
+        p[row] = 2.0 * np.eye(2)
+    else:
+        h[row] = np.diag([1j, 2.0])  # symmetric, but P conj(H) P != H
+        p[row] = np.eye(2)
+    with pytest.raises(ValueError, match=message):
+        pt.check_pt_pairs(h, p)
+    with pytest.raises(ValueError, match=message):
+        pt.pt_system_from_matrices(h[row], p[row])

@@ -136,8 +136,14 @@ def test_eigendecompose_rejects_bad_input():
         pt.eigendecompose(np.ones((2, 3)))
     with pytest.raises(ValueError):
         pt.eigendecompose(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        pt.eigendecompose(np.eye(65))
+
+
+def test_eigendecompose_solves_beyond_64():
+    # no dimension cap: D = 65 solves like any other size
+    diag = np.arange(65, 0, -1) / 7.0
+    w, _, res = eig_arrays(np.diag(diag))
+    assert res.max() <= pt.DEFAULT_TOL
+    np.testing.assert_array_equal(w, np.sort(diag))
 
 
 def test_mat_exp_zero_time(rng):

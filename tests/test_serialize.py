@@ -27,6 +27,11 @@ def test_matrix_from_obj_rejects_malformed():
         ser.matrix_from_obj(None)
 
 
+def test_matrix_from_obj_rejects_zero_dimension():
+    with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
+        ser.matrix_from_obj({"dim": 0, "entries": []})
+
+
 def test_parity_spec_round_trip():
     spec = pt.ParitySpec(2, 1, [0.1, 0.2, 0.3])
     back = ser.parity_spec_from_obj(ser.parity_spec_to_obj(spec))

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import ptmatrix as pt
 
-from conftest import unbroken_system
+from _seeds import UNBROKEN_SEEDS
+from conftest import unbroken_system, unbroken_systems
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -157,3 +158,114 @@ def test_footnote_transpose_equivalence(rng):
         assert plain == trans
         # the transformed matrices are identical entry by entry, exactly
         np.testing.assert_array_equal(pm @ h.conj() @ pm, pm @ h.conj().T @ pm)
+
+
+def _stack(systems):
+    return np.stack([x.h for x in systems]), np.stack([x.p for x in systems])
+
+
+def _assert_rows_match_classify_phase(systems, got):
+    assert len(got.phases) == len(systems)
+    for n, sys in enumerate(systems):
+        want = pt.classify_phase(sys)
+        row = got.row(n)
+        np.testing.assert_array_equal(got.w[n], [p.value for p in want.pairs])
+        assert row.phase is want.phase
+        assert (row.real_count, row.conjugate_pairs) == (want.real_count, want.conjugate_pairs)
+        if want.pt_norm_signs is None:
+            assert row.pt_norm_signs is None and not got.signs[n].any()
+        else:
+            np.testing.assert_array_equal(row.pt_norm_signs, want.pt_norm_signs)
+        for a, b in zip(row.pairs, want.pairs):
+            np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-14)
+            assert abs(a.residual - b.residual) <= 1e-14
+
+
+@pytest.mark.parametrize("key", sorted(UNBROKEN_SEEDS))
+def test_classify_stack_matches_classify_phase_on_frozen_systems(key):
+    systems = list(unbroken_systems(*key, 5))
+    # seeds next to the frozen ones are mostly broken at D >= 3
+    systems += [pt.random_pt_system(key[0], key[1:], seed) for seed in range(6)]
+    got = pt.classify_stack(*_stack(systems))
+    _assert_rows_match_classify_phase(systems, got)
+    assert got.phases[:5] == [pt.Phase.UNBROKEN] * 5
+
+
+# s on both sides of the exceptional point s = t = 1, its window included
+EP_GRID = [0.0, 0.5, 1.0 - 1e-7, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 1.5, 2.0, -1.0, 0.25]
+
+
+def test_classify_stack_two_level_grid_across_the_exceptional_point():
+    params = pt.TwoByTwoParams(0.2, np.array(EP_GRID), 1.0, 0.7)
+    h = pt.h2(params)
+    p = np.broadcast_to(pt.p2(0.7), h.shape)
+    got = pt.classify_stack(h, p)
+    systems = [two_level_system(0.2, s, 1.0, 0.7) for s in EP_GRID]
+    _assert_rows_match_classify_phase(systems, got)
+    want = []
+    for s in EP_GRID:
+        if abs(abs(s) - 1.0) <= 5e-9:
+            want.append(pt.Phase.EXCEPTIONAL)
+        else:
+            want.append(pt.Phase.UNBROKEN if s * s < 1.0 else pt.Phase.BROKEN)
+    assert got.phases == want
+    for n, phase in enumerate(want):
+        if phase is pt.Phase.UNBROKEN:
+            assert sorted(got.signs[n]) == [-1, 1]
+            for k in range(2):
+                vec = got.v[n, :, k]
+                assert np.linalg.norm(pt.pt_apply(vec, p[n]) - vec) <= 1e-9
+        assert got.conjugate_pairs[n] == (1 if phase is pt.Phase.BROKEN else 0)
+
+
+def test_classify_stack_cluster_rows_among_plain_rows():
+    # H = I (one cluster of two) between two ordinary rows
+    plain = two_level_system(0.1, 0.4, 1.0, 1.3)
+    eye = pt.pt_system_from_matrices(np.eye(2, dtype=complex), pt.p2(1.3))
+    systems = [plain, eye, plain]
+    got = pt.classify_stack(*_stack(systems))
+    _assert_rows_match_classify_phase(systems, got)
+    assert got.phases == [pt.Phase.UNBROKEN] * 3
+    assert sorted(got.signs[1]) == [-1, 1]
+
+
+def test_classify_stack_collinearity_failure_is_exceptional():
+    # real spectrum, but P = SWAP does not map the eigenvectors of diag(1, 2)
+    # onto themselves: phase fixing fails, in that row only
+    ok = two_level_system(0.1, 0.4, 1.0, 0.0)
+    h = np.stack([ok.h, np.diag([1.0, 2.0]).astype(complex), ok.h])
+    p = np.stack([ok.p, SWAP, ok.p])
+    got = pt.classify_stack(h, p)
+    assert got.phases == [pt.Phase.UNBROKEN, pt.Phase.EXCEPTIONAL, pt.Phase.UNBROKEN]
+    assert got.real_count.tolist() == [2, 0, 2]
+    with pytest.raises(pt.CollinearityError):
+        pt.fix_pt_phase(np.array([1.0, 0.0], dtype=complex), SWAP)
+
+
+def test_classify_stack_unpaired_conjugates_raise_in_any_row():
+    ok = two_level_system(0.1, 2.0, 1.0, 0.0)  # broken, one conjugate pair
+    unpaired = np.diag([1j, 2j])  # non-real eigenvalues with no partners
+    h = np.stack([ok.h, ok.h, unpaired])
+    p = np.stack([ok.p, ok.p, np.eye(2, dtype=complex)])
+    assert pt.classify_stack(h[:2], p[:2]).conjugate_pairs.tolist() == [1, 1]
+    with pytest.raises(ValueError, match="do not pair into conjugates"):
+        pt.classify_stack(h, p)
+
+
+def test_classify_stack_residual_bound_covers_every_row():
+    ok = two_level_system(0.1, 0.4, 1.0, 0.7)
+    big = pt.h2(pt.TwoByTwoParams(0.0, 0.5e7, 1e7, 0.7))  # residual above the absolute tol
+    h = np.stack([ok.h, ok.h, big])
+    p = np.stack([ok.p, ok.p, ok.p])
+    pt.classify_stack(h[:2], p[:2])
+    with pytest.raises(pt.ConvergenceError):
+        pt.classify_stack(h, p)
+
+
+def test_classify_stack_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        pt.classify_stack(np.eye(2), np.eye(2))
+    with pytest.raises(ValueError):
+        pt.classify_stack(np.zeros((1, 0, 0)), np.zeros((1, 0, 0)))
+    with pytest.raises(ValueError):
+        pt.classify_stack(np.eye(2)[None], np.eye(3)[None])
