@@ -9,7 +9,7 @@ forms.
 __version__ = "0.1.0"
 
 from .algebra import (
-    build_c_operator, build_weight_matrix, c_operator, cpt_inner, pt_conjugate, pt_inner,
+    build_c_operator, build_weight_matrix, c_operator, cpt_inner, pt_inner,
 )
 from .closedform import (
     ThreeByThreeParityParams,
@@ -50,8 +50,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    EigenPair,
-    eigendecompose,
+    eig_arrays,
     is_hermitian,
     is_orthogonal,
     is_real,
@@ -79,7 +78,6 @@ __all__ = [
     "CollinearityError",
     "ConvergenceError",
     "DEFAULT_TOL",
-    "EigenPair",
     "EvolutionTrace",
     "ExceptionalPointError",
     "MatrixClass",
@@ -103,7 +101,7 @@ __all__ = [
     "count_parity_params",
     "cpt_inner",
     "eig2",
-    "eigendecompose",
+    "eig_arrays",
     "evolve",
     "find_unbroken_seeds",
     "fix_pt_phase",
@@ -127,7 +125,6 @@ __all__ = [
     "parameter_table",
     "pt_apply",
     "pt_commutes",
-    "pt_conjugate",
     "pt_inner",
     "pt_norm_signature",
     "pt_system_from_matrices",

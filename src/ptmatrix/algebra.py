@@ -20,9 +20,6 @@ from .spectral import Phase, SpectralData, classify_phase, pt_apply
 
 WEIGHT_COND_LIMIT = 1e8
 
-# PT-conjugate row of a ket, [P conj(v)]^T: as a 1-D array it is P conj(v)
-pt_conjugate = pt_apply
-
 
 def pt_inner(a, b, p) -> complex:
     """(a|b): dot product of the PT conjugate of a with b."""
@@ -30,7 +27,7 @@ def pt_inner(a, b, p) -> complex:
     bv = np.asarray(b, dtype=np.complex128)
     if av.shape != bv.shape:
         raise ValueError("vector dimensions do not match")
-    return complex(pt_conjugate(av, p) @ bv)
+    return complex(pt_apply(av, p) @ bv)
 
 
 def c_operator(data: SpectralData, p, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -41,9 +38,8 @@ def c_operator(data: SpectralData, p, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise BrokenPhaseError("the C operator exists only in the unbroken phase")
     if data.phase is Phase.EXCEPTIONAL:
         raise ExceptionalPointError("no C operator at an exceptional point")
-    pm = as_matrix(p)
-    v = np.reshape([pair.vector for pair in data.pairs], pm.shape).T
-    rows = pm @ v.conj()  # column k is the PT conjugate of v_k
+    v = data.v
+    rows = as_matrix(p) @ v.conj()  # column k is the PT conjugate of v_k
     norms = np.abs(np.einsum("ik,ik->k", rows, v))
     if (norms < tol).any():
         raise ExceptionalPointError(

@@ -21,7 +21,6 @@ from .algebra import c_operator
 from .closedform import TwoByTwoParams, h2, p2
 from .construct import (
     BlockForm,
-    ParitySpec,
     check_pt_pairs,
     classify_matrix,
     count_parity_params,
@@ -42,6 +41,7 @@ from .serialize import (
     block_form_from_obj,
     fmt17,
     matrix_to_obj,
+    parity_spec_from_obj,
     read_json,
     spectral_to_obj,
     system_from_obj,
@@ -237,13 +237,21 @@ def _two_level_points(args):
 
 
 def _block_points(args, base_obj):
-    """points(values) -> (H, P, error): stacks of the base system along one
-    block entry, built point by point with make_pt_system. A point that fails
-    to build ends the stacks early; its error is returned, for the caller to
-    raise once the points before it are classified."""
+    """(points, dim), points(values) -> (H, P, error): stacks of the base
+    system along one block entry, built point by point with make_pt_system.
+    A point that fails to build ends the stacks early; its error is returned,
+    for the caller to raise once the points before it are classified."""
+    if not isinstance(base_obj, dict):
+        raise ValueError("base system JSON must be an object")
     prov = base_obj.get("provenance") or {}
-    if "blocks" not in prov or "signature" not in prov or "angles" not in prov:
+    if not isinstance(prov, dict) or not {"blocks", "signature", "angles"} <= prov.keys():
         raise UsageError("base system JSON lacks construction provenance for sweeping")
+    spec = parity_spec_from_obj(prov)
+    if base_obj.get("dim") != spec.dim:
+        raise ValueError(
+            f"base system dim {base_obj.get('dim')!r} does not match its provenance "
+            f"signature {spec.m_plus},{spec.m_minus}"
+        )
     m = re.fullmatch(r"([ABC])\[(\d+),(\d+)\]", args.param)
     if not m:
         raise UsageError(f"unknown sweep parameter {args.param!r}")
@@ -252,8 +260,6 @@ def _block_points(args, base_obj):
     base = {"A": blocks.a_block, "B": blocks.b_block, "C": blocks.c_block}
     if not (0 <= i < base[name].shape[0] and 0 <= j < base[name].shape[1]):
         raise UsageError(f"index [{i},{j}] out of range for block {name}")
-    mp, mm = (int(x) for x in prov["signature"])
-    spec = ParitySpec(m_plus=mp, m_minus=mm, angles=np.array(prov["angles"]))
 
     def points(values):
         systems = []
@@ -275,7 +281,7 @@ def _block_points(args, base_obj):
         p = np.array([x.p for x in systems], dtype=np.complex128).reshape(shape)
         return h, p, error
 
-    return points
+    return points, spec.dim
 
 
 def _classify_points(h: np.ndarray, p: np.ndarray, tol: float, check: bool) -> PhaseStack:
@@ -309,14 +315,9 @@ def _min_gaps(w: np.ndarray) -> np.ndarray:
 def cmd_sweep(args) -> int:
     values = _sweep_grid(args.lo, args.hi, args.step)
     if args.input is None:
-        dim = 2
-        points = _two_level_points(args)
+        points, dim = _two_level_points(args), 2
     else:
-        base_obj = read_json(args.input)
-        dim = int(base_obj.get("dim", 0))
-        if dim < 1:
-            raise UsageError("base system JSON lacks a dimension")
-        points = _block_points(args, base_obj)
+        points, dim = _block_points(args, read_json(args.input))
     eig_cols = "".join(f"re_{k},im_{k}," for k in range(dim))
     out = io.StringIO()
     out.write(f"value,{eig_cols}phase,min_gap\n")
@@ -347,7 +348,7 @@ def _pick_state(spec: str, data, dim: int) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     if kind == "eig" and arg.isdigit():  # no sign: "-1" would count from the end
         try:
-            return data.pairs[int(arg)].vector.copy()
+            return data.v[:, int(arg)].copy()
         except (IndexError, ValueError) as exc:
             raise UsageError(f"bad eigenstate index in {spec!r}") from exc
     if kind == "rand":
@@ -364,12 +365,15 @@ def cmd_evolve(args) -> int:
     obj = read_json(args.input)
     h, p, _ = system_matrices_from_obj(obj)
     if not is_symmetric(h, 1e-12):
-        # asymmetric Hamiltonian: weight-matrix inner product, expected drift
-        seed = 0
-        if args.state.startswith("rand:"):
-            seed = int(args.state.partition(":")[2])
+        # asymmetric Hamiltonian: weight-matrix inner product, expected drift;
+        # both states are drawn from the one seed of --state
+        if args.state2 is not None:
+            raise UsageError("--state2 does not apply to an asymmetric H")
+        kind, _, seed = args.state.partition(":")
+        if kind != "rand" or not seed.isdecimal():
+            raise UsageError(f"--state must be rand:SEED for an asymmetric H, got {args.state!r}")
         result = nonunitarity_demo(
-            h, p, t_max=args.t_max, steps=args.steps, seed=seed, tol=args.tol
+            h, p, t_max=args.t_max, steps=args.steps, seed=int(seed), tol=args.tol
         )
         out = io.StringIO()
         write_trace_csv(out, result.trace)
@@ -386,9 +390,7 @@ def cmd_evolve(args) -> int:
     c = c_operator(data, sys_.p, args.tol)  # raises unless data is unbroken
     a = _pick_state(args.state, data, sys_.dim)
     b = _pick_state(args.state2, data, sys_.dim) if args.state2 else a.copy()
-    trace = unitarity_trace(
-        sys_, c, a, b, t_max=args.t_max, steps=args.steps, tol=args.tol
-    )
+    trace = unitarity_trace(data, sys_.p, c, a, b, t_max=args.t_max, steps=args.steps)
     out = io.StringIO()
     write_trace_csv(out, trace)
     _emit(out.getvalue(), args.out)

@@ -4,9 +4,10 @@ Time is dimensionless. A valid unbroken system conserves the CPT inner
 product of evolving states; an asymmetric Hamiltonian forces a weight-matrix
 inner product whose value drifts because the weight fails to commute with H.
 
-H is diagonalized once per trace, and the samples of a uniform time grid are
-computed with numpy over blocks of TIME_BLOCK times, the product folded into
-one fixed bilinear form. A non-finite horizon is a ValueError; a sample that
+A trace propagates with the classification's eigenvectors, so H is solved
+once per system, and the samples of a uniform time grid are computed with
+numpy over blocks of TIME_BLOCK times, the product folded into one fixed
+bilinear form. A non-finite horizon is a ValueError; a sample that
 overflows (large t, or growing modes of a non-Hermitian H) is a
 ConvergenceError naming the first such time.
 """
@@ -18,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_weight_matrix, pt_conjugate
+from .algebra import build_weight_matrix
 from .construct import PTSystem, validate_parity
 from .errors import ConvergenceError
-from .linalg import (
-    DEFAULT_TOL, as_matrix, diagonalize, eig_arrays, eigvec_inverse, mat_exp_times, max_abs,
-)
+from .linalg import DEFAULT_TOL, as_matrix, eig_arrays, eigvec_inverse, mat_exp_times, max_abs
+from .spectral import SpectralData, pt_apply
 
 COMMUTATOR_REL_THRESHOLD = 1e-3
 # samples evaluated per numpy pass over the time grid: large enough to leave
@@ -107,19 +107,22 @@ def _sample(times: np.ndarray, block_values) -> np.ndarray:
 
 
 def unitarity_trace(
-    sys: PTSystem,
+    data: SpectralData,
+    p,
     c,
     a,
     b,
     t_max: float = 10.0,
     steps: int = 101,
-    tol: float = DEFAULT_TOL,
     product: str = "cpt",
 ) -> EvolutionTrace:
-    """Sample the CPT (or PT) inner product of two evolving states.
+    """Sample the CPT (or PT) inner product of two states evolving under the
+    H that data classifies (see classify_phase), with parity p.
 
     Both products are conserved for a PT-symmetric H; the CPT one is the
-    positive-definite physical norm.
+    positive-definite physical norm. The propagator is V diag(exp(-iwt)) V^-1
+    over data's eigenvectors; ExceptionalPointError when cond(V) exceeds
+    COND_CAP (see linalg.eigvec_inverse).
     """
     if product not in ("cpt", "pt"):
         raise ValueError("product must be 'cpt' or 'pt'")
@@ -127,12 +130,14 @@ def unitarity_trace(
         raise ValueError("the cpt product needs the C operator")
     av = np.asarray(a, dtype=np.complex128)
     bv = np.asarray(b, dtype=np.complex128)
-    if av.shape != (sys.dim,) or bv.shape != (sys.dim,):
+    dim = data.w.shape[0]
+    if av.shape != (dim,) or bv.shape != (dim,):
         raise ValueError("state dimension does not match the system")
+    pm = as_matrix(p)
     # (a|b) = conj(a)^T P^T b and <a|b> = (C P conj(a))^T b = conj(a)^T P^T C^T b
-    form = sys.p.T if product == "pt" else (as_matrix(c) @ sys.p).T
+    form = pm.T if product == "pt" else (as_matrix(c) @ pm).T
     times = _grid(t_max, steps)
-    apply = _propagator(*diagonalize(sys.h, tol))
+    apply = _propagator(data.w, data.v, eigvec_inverse(data.v))
     states = np.stack([av, bv])
 
     def block_values(block: np.ndarray) -> np.ndarray:
@@ -182,7 +187,7 @@ def nonunitarity_demo(
     # the same as PT-conjugating the evolved ket, for asymmetric H it is not.
     # H^T = V^-T diag(w) V^T shares H's one decomposition (cond(V^T) = cond(V))
     apply_bra = _propagator(w, vinv.T, v.T)
-    row0 = pt_conjugate(a, pm)
+    row0 = pt_apply(a, pm)
 
     def block_values(block: np.ndarray) -> np.ndarray:
         return np.einsum("ti,ti->t", apply_bra(row0, -block) @ weight, apply_ket(b, block))

@@ -11,8 +11,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, ExceptionalPointError
@@ -25,15 +23,6 @@ CLUSTER_REL_GAP = 1e-8
 # bilinear self-products below this floor are left alone by the cluster
 # orthogonalizer (isotropic direction: the exceptional-point signature)
 ISOTROPY_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with an L2-normalized eigenvector and its 2-norm residual."""
-
-    value: complex
-    vector: np.ndarray
-    residual: float
 
 
 def as_matrix(m) -> np.ndarray:
@@ -79,7 +68,9 @@ def mat_mul(a, b) -> np.ndarray:
 
 
 def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvector columns, residuals; sorted by (Re, Im).
+    """Eigenvalues, L2-normalized eigenvector columns and their residuals
+    ||m v - w v||_2; sorted by (Re, Im). A residual above tol raises
+    ConvergenceError.
 
     Eigenvalues within 1e-8 * ||m||_F of each other are clustered and their
     vectors orthogonalized under the bilinear (non-conjugating) dot product,
@@ -177,19 +168,6 @@ def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> None:
         norm = np.linalg.norm(candidate)
         if norm > 1e-8:
             v[:, j] = candidate / norm
-
-
-def eigendecompose(m, tol: float = DEFAULT_TOL) -> list[EigenPair]:
-    """All eigenpairs of a square matrix, deterministically ordered.
-
-    Each residual ||m v - lambda v||_2 (with ||v||_2 = 1) is guaranteed to be
-    at most tol; otherwise ConvergenceError is raised.
-    """
-    w, v, res = eig_arrays(m, tol)
-    return [
-        EigenPair(complex(w[k]), v[:, k].copy(), float(res[k]))
-        for k in range(w.shape[0])
-    ]
 
 
 def diagonalize(m, tol: float = DEFAULT_TOL,

@@ -125,10 +125,8 @@ def system_from_obj(obj, tol: float = 1e-10) -> PTSystem:
 def spectral_to_obj(data: SpectralData) -> dict:
     return {
         "phase": data.phase.value,
-        "eigenvalues": [
-            [float(p.value.real), float(p.value.imag)] for p in data.pairs
-        ],
-        "residuals": [float(p.residual) for p in data.pairs],
+        "eigenvalues": [[z.real, z.imag] for z in data.w.tolist()],
+        "residuals": data.residuals.tolist(),
         "real_count": int(data.real_count),
         "conjugate_pairs": int(data.conjugate_pairs),
         "pt_norm_signs": (

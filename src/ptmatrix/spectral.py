@@ -15,7 +15,7 @@ import numpy as np
 
 from .construct import PTSystem, make_h0, random_blocks, random_pt_system
 from .errors import BrokenPhaseError, CollinearityError, ExceptionalPointError
-from .linalg import DEFAULT_TOL, EigenPair, column_norms, eig_arrays, multi_clusters
+from .linalg import DEFAULT_TOL, column_norms, eig_arrays, multi_clusters
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
 # when eigenvectors coalesce; for the two-level family the value equals
@@ -31,9 +31,13 @@ class Phase(enum.Enum):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenpairs plus the phase verdict and (unbroken only) PT-norm signs."""
+    """One row of a PhaseStack: eigenvalues w (D,), eigenvector columns v
+    (D, D), PT-phase-fixed when unbroken, and their residuals (D,), plus the
+    phase verdict and (unbroken only) the PT-norm signs."""
 
-    pairs: list[EigenPair]
+    w: np.ndarray
+    v: np.ndarray
+    residuals: np.ndarray
     phase: Phase
     real_count: int
     conjugate_pairs: int
@@ -138,21 +142,21 @@ class PhaseStack:
     signs: np.ndarray
 
     def row(self, n: int) -> SpectralData:
+        """Row n as SpectralData; its arrays are views of the stack's."""
         phase = self.phases[n]
         return SpectralData(
-            pairs=[
-                EigenPair(complex(self.w[n, k]), self.v[n, :, k].copy(), float(self.residuals[n, k]))
-                for k in range(self.w.shape[1])
-            ],
+            w=self.w[n],
+            v=self.v[n],
+            residuals=self.residuals[n],
             phase=phase,
             real_count=int(self.real_count[n]),
             conjugate_pairs=int(self.conjugate_pairs[n]),
-            pt_norm_signs=self.signs[n].copy() if phase is Phase.UNBROKEN else None,
+            pt_norm_signs=self.signs[n] if phase is Phase.UNBROKEN else None,
         )
 
 
 def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
-    """Unbroken, broken, or exceptional, with eigenpairs and norm signs.
+    """Unbroken, broken, or exceptional, with the spectrum and norm signs.
 
     Unbroken: all eigenvalues real (relative threshold tol) and every
     eigenvector phase-fixable. Broken: the non-real eigenvalues pair into

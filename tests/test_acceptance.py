@@ -122,16 +122,16 @@ def test_criterion_3_two_level_oracle_agreement(capsys):
         ana = sorted(pt.eig2(params), key=lambda z: (z.real, z.imag))
         worst_eig = max(
             worst_eig,
-            max(abs(a - b.value) for a, b in zip(ana, data.pairs)),
+            max(abs(a - b) for a, b in zip(ana, data.w.tolist())),
         )
         worst_c = max(
             worst_c, pt.max_abs(pt.build_c_operator(sys_) - pt.c2(params))
         )
         ep, em = pt.eig2(params)
         for v_ana, val in ((pt.vec2(params)[0], ep), (pt.vec2(params)[1], em)):
-            pair = min(data.pairs, key=lambda p: abs(p.value - val))
-            nrm = pt.pt_inner(pair.vector, pair.vector, sys_.p)
-            v_num = pair.vector / np.sqrt(abs(nrm))
+            vec = data.v[:, np.argmin(np.abs(data.w - val))]
+            nrm = pt.pt_inner(vec, vec, sys_.p)
+            v_num = vec / np.sqrt(abs(nrm))
             worst_vec = max(
                 worst_vec,
                 min(pt.max_abs(v_num - v_ana), pt.max_abs(v_num + v_ana)),
@@ -162,7 +162,7 @@ def test_criterion_4_symmetry_algebra_invariants(capsys):
                 worst["cpt"], pt.max_abs(sys_.p @ c.conj() @ sys_.p - c)
             )
             data = pt.classify_phase(sys_)
-            vectors = [p.vector for p in data.pairs]
+            vectors = list(data.v.T)
             vectors += [random_state(rng, dim) for _ in range(100)]
             for v in vectors:
                 val = pt.cpt_inner(v, v, c, sys_.p)
@@ -204,7 +204,7 @@ def test_criterion_6_phase_boundary(capsys):
     for k in range(41):
         s = 0.0 + 0.05 * k
         data = pt.classify_phase(system(s))
-        values = np.array([p.value for p in data.pairs])
+        values = data.w
         if s < 1.0 - 1e-8:
             assert np.all(np.abs(values.imag) <= 1e-9), s
         elif s > 1.0 + 1e-8:
@@ -226,9 +226,10 @@ def test_criterion_7_unitarity(capsys, tmp_path):
     rng = np.random.default_rng(77)
     worst = 0.0
     for sys_ in unbroken_systems(4, 2, 2, 20):
-        c = pt.build_c_operator(sys_)
+        data = pt.classify_phase(sys_)
+        c = pt.c_operator(data, sys_.p)
         a, b = random_state(rng, 4), random_state(rng, 4)
-        trace = pt.unitarity_trace(sys_, c, a, b, t_max=10.0, steps=101)
+        trace = pt.unitarity_trace(data, sys_.p, c, a, b, t_max=10.0, steps=101)
         worst = max(worst, trace.max_drift)
     assert worst <= 1e-8, worst
 

@@ -15,20 +15,13 @@ def two_level_system(r, s, t, phi):
     )
 
 
-def test_pt_conjugate_examples():
-    v = np.array([0.2, 1.4], dtype=complex)
-    np.testing.assert_array_equal(pt.pt_conjugate(v, np.eye(2)), v)
-    np.testing.assert_array_equal(
-        pt.pt_conjugate(np.array([1.0, 1j]), SWAP), np.array([-1j, 1.0])
-    )
-
-
 def test_pt_conjugate_of_phase_fixed_is_transpose():
+    # the PT-conjugate row [P conj(v)]^T of a phase-fixed v is v^T
     params = pt.TwoByTwoParams(0.1, 0.4, 1.0, 0.9)
     vp, vm = pt.vec2(params)
     p = pt.p2(params.phi)
-    np.testing.assert_allclose(pt.pt_conjugate(vp, p), vp, atol=1e-12)
-    np.testing.assert_allclose(pt.pt_conjugate(vm, p), vm, atol=1e-12)
+    np.testing.assert_allclose(pt.pt_apply(vp, p), vp, atol=1e-12)
+    np.testing.assert_allclose(pt.pt_apply(vm, p), vm, atol=1e-12)
 
 
 def test_pt_inner_norms_and_orthogonality():
@@ -75,17 +68,17 @@ def test_c_operator_eigenaction():
     for sys in systems:
         c = pt.build_c_operator(sys)
         data = pt.classify_phase(sys)
-        for pair, sign in zip(data.pairs, data.pt_norm_signs):
-            np.testing.assert_allclose(c @ pair.vector, sign * pair.vector, atol=1e-10)
+        for v, sign in zip(data.v.T, data.pt_norm_signs):
+            np.testing.assert_allclose(c @ v, sign * v, atol=1e-10)
 
 
 def _outer_product_c(sys):
     """C as a per-pair loop: sum of vhat (P conj vhat)^T over the phase-fixed
     eigenvectors, with vhat = v / sqrt(|(v|v)|)."""
     c = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for pair in pt.classify_phase(sys).pairs:
-        vhat = pair.vector / np.sqrt(abs(pt.pt_inner(pair.vector, pair.vector, sys.p)))
-        c += np.outer(vhat, pt.pt_conjugate(vhat, sys.p))
+    for v in pt.classify_phase(sys).v.T:
+        vhat = v / np.sqrt(abs(pt.pt_inner(v, v, sys.p)))
+        c += np.outer(vhat, pt.pt_apply(vhat, sys.p))
     return c
 
 
@@ -111,8 +104,10 @@ def test_c_operator_reuses_a_classification():
 def test_c_operator_vanishing_pt_norm_raises():
     # (v|v) = 0 for v = (1, i)/sqrt(2) under the swap parity
     v = np.array([1.0, 1j]) / np.sqrt(2.0)
-    pairs = [pt.EigenPair(0.0, v, 0.0), pt.EigenPair(1.0, v.conj(), 0.0)]
-    data = pt.SpectralData(pairs, pt.Phase.UNBROKEN, 2, 0, np.array([1, -1]))
+    data = pt.SpectralData(
+        np.array([0.0, 1.0], dtype=complex), np.column_stack([v, v.conj()]), np.zeros(2),
+        pt.Phase.UNBROKEN, 2, 0, np.array([1, -1]),
+    )
     with pytest.raises(pt.ExceptionalPointError, match="vanishing PT norm"):
         pt.c_operator(data, SWAP)
 
@@ -141,9 +136,9 @@ def test_cpt_inner_flips_negative_norm():
     c = pt.build_c_operator(sys)
     data = pt.classify_phase(sys)
     vecs = []
-    for pair in data.pairs:
-        nrm = pt.pt_inner(pair.vector, pair.vector, sys.p)
-        vecs.append(pair.vector / np.sqrt(abs(nrm)))
+    for v in data.v.T:
+        nrm = pt.pt_inner(v, v, sys.p)
+        vecs.append(v / np.sqrt(abs(nrm)))
     for v in vecs:
         assert abs(pt.cpt_inner(v, v, c, sys.p) - 1.0) <= 1e-10
     assert abs(pt.cpt_inner(vecs[0], vecs[1], c, sys.p)) <= 1e-10
@@ -153,10 +148,7 @@ def test_cpt_inner_mixture_norm():
     sys = two_level_system(0.0, 0.3, 1.0, 1.0)
     c = pt.build_c_operator(sys)
     data = pt.classify_phase(sys)
-    vm, vp = (
-        p.vector / np.sqrt(abs(pt.pt_inner(p.vector, p.vector, sys.p)))
-        for p in data.pairs
-    )
+    vm, vp = (v / np.sqrt(abs(pt.pt_inner(v, v, sys.p))) for v in data.v.T)
     mu, nu = 0.3 - 0.7j, -1.1 + 0.2j
     mix = mu * vm + nu * vp
     got = pt.cpt_inner(mix, mix, c, sys.p)
@@ -183,17 +175,17 @@ def test_weight_matrix_equals_c_for_symmetric_system():
     c = pt.build_c_operator(sys)
     data = pt.classify_phase(sys)
     vecs = []
-    for pair in data.pairs:
-        nrm = pt.pt_inner(pair.vector, pair.vector, sys.p)
-        vecs.append(pair.vector / np.sqrt(abs(nrm)))
+    for v in data.v.T:
+        nrm = pt.pt_inner(v, v, sys.p)
+        vecs.append(v / np.sqrt(abs(nrm)))
     w = pt.build_weight_matrix(vecs, sys.p)
     assert pt.max_abs(w - c) <= 1e-8
 
 
 def test_weight_matrix_asymmetric_does_not_commute():
     h = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
-    pairs = pt.eigendecompose(h)
-    w = pt.build_weight_matrix([p.vector for p in pairs], np.eye(2))
+    _, v, _ = pt.eig_arrays(h)
+    w = pt.build_weight_matrix(list(v.T), np.eye(2))
     assert pt.max_abs(w @ h - h @ w) > 1e-3
 
 

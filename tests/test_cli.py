@@ -206,6 +206,27 @@ def test_sweep_block_entry(tmp_path, capsys):
     assert rows[0].startswith("value,re_0,im_0")
 
 
+@pytest.mark.parametrize("malform,message", [
+    (lambda obj: [obj], "input error: base system JSON must be an object"),
+    (lambda obj: "sys.json", "input error: base system JSON must be an object"),
+    (lambda obj: {**obj, "dim": None}, "input error: base system dim None does not match"),
+    (lambda obj: {**obj, "provenance": {**obj["provenance"], "signature": 5}},
+     "input error: malformed parity-spec JSON"),
+    # a dim wider than the signature would give a header with more eigenvalue
+    # columns than any row
+    (lambda obj: {**obj, "dim": 3}, "input error: base system dim 3 does not match"),
+], ids=["list", "string", "dim_null", "signature_5", "dim_3_signature_1_1"])
+def test_sweep_malformed_base_system_is_input_error(tmp_path, capsys, malform, message):
+    src = tmp_path / "base.json"
+    src.write_text(json.dumps(malform(system_to_obj(unbroken_system(2, 1, 1, 0)))))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]",
+            "--lo", "0", "--hi", "1", "--step", "0.5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_sweep_empty_range_header_only(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--param", "s", "--lo", "2", "--hi", "1", "--step", "0.5",
@@ -264,7 +285,7 @@ def _reference_sweep(make_system, values, dim):
     lines = ["value," + "".join(f"re_{k},im_{k}," for k in range(dim)) + "phase,min_gap"]
     for x in values:
         data = pt.classify_phase(make_system(x))
-        w = [p.value for p in data.pairs]
+        w = data.w.tolist()
         gap = min(abs(a - b) for k, a in enumerate(w) for b in w[k + 1:]) if len(w) > 1 else 0.0
         eigs = "".join(f"{fmt17(z.real)},{fmt17(z.imag)}," for z in w)
         lines.append(f"{fmt17(x)},{eigs}{data.phase.value},{fmt17(gap)}")
@@ -426,10 +447,10 @@ def test_evolve_eigenstate_index_out_of_range(tmp_path, capsys, spec):
     assert err.startswith("usage error: ") and repr(spec) in err
 
 
-@pytest.mark.parametrize("command,solves", [("analyze", 1), ("evolve", 2)])
+@pytest.mark.parametrize("command,solves", [("analyze", 1), ("evolve", 1)])
 def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, command, solves):
-    # analyze classifies once; evolve classifies once and diagonalizes once
-    # for the propagator; C is built from the classification, not solved again
+    # both commands classify once; C and the propagator are built from the
+    # classification's eigenvectors, not solved again
     calls = []
     original = pt.linalg.eig_arrays
 
@@ -439,7 +460,7 @@ def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, comman
 
     src = tmp_path / "sys.json"
     write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
-    for module in (pt.linalg, pt.spectral):
+    for module in (pt.linalg, pt.spectral, pt.dynamics):
         monkeypatch.setattr(module, "eig_arrays", counted)
     argv = [command, "--input", str(src), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
@@ -491,6 +512,38 @@ def test_evolve_asymmetric_fixture_flags_violation(tmp_path, capsys):
     assert "unitarity violated" in err
     drift = float(err.split("max_drift:")[1].split()[0])
     assert drift > 1e-3
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--state", "eig:0"], "--state"),
+    (["--state", "eig:7"], "--state"),
+    (["--state", "bogus"], "--state"),
+    (["--state", "rand:x"], "--state"),
+    (["--state", "rand:-1"], "--state"),
+    (["--state", "rand:0", "--state2", "rand:1"], "--state2"),
+])
+def test_evolve_asymmetric_accepts_only_one_rand_state(tmp_path, capsys, flags, named):
+    # the weight-matrix demo draws both states from the one seed of --state
+    out = tmp_path / "trace.csv"
+    argv = ["evolve", "--input", str(FIXTURES / "asym2x2.json"), *flags, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {named} ")
+    assert not out.exists()
+
+
+def test_evolve_asymmetric_rand_seed_picks_the_states(tmp_path, capsys):
+    traces = {}
+    for state in ("rand:0", "rand:4"):
+        out = tmp_path / f"{state.replace(':', '_')}.csv"
+        assert main(["evolve", "--input", str(FIXTURES / "asym2x2.json"),
+                     "--state", state, "--out", str(out)]) == 3
+        traces[state] = out.read_bytes()
+    capsys.readouterr()
+    default = tmp_path / "default.csv"
+    assert main(["evolve", "--input", str(FIXTURES / "asym2x2.json"), "--out", str(default)]) == 3
+    capsys.readouterr()
+    assert default.read_bytes() == traces["rand:0"] != traces["rand:4"]
 
 
 def _evolve_input(tmp_path, system):

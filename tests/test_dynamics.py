@@ -19,9 +19,9 @@ def test_evolve_zero_time(rng):
 def test_evolve_eigenstate_phase():
     sys = unbroken_system(4, 2, 2, 0)
     data = pt.classify_phase(sys)
-    for pair in data.pairs:
-        got = pt.evolve(sys, pair.vector, 2.3)
-        want = np.exp(-1j * pair.value * 2.3) * pair.vector
+    for value, vector in zip(data.w, data.v.T):
+        got = pt.evolve(sys, vector, 2.3)
+        want = np.exp(-1j * value * 2.3) * vector
         assert np.linalg.norm(got - want) <= 1e-9
 
 
@@ -65,10 +65,10 @@ def test_unitarity_trace_eigenstate_constant():
     sys = unbroken_system(4, 2, 2, 2)
     c = pt.build_c_operator(sys)
     data = pt.classify_phase(sys)
-    v = data.pairs[0].vector
+    v = data.v[:, 0]
     nrm = pt.pt_inner(v, v, sys.p)
     v = v / np.sqrt(abs(nrm))
-    trace = pt.unitarity_trace(sys, c, v, v)
+    trace = pt.unitarity_trace(data, sys.p, c, v, v)
     np.testing.assert_allclose(trace.inner_products, 1.0, atol=1e-10)
     assert trace.max_drift <= 1e-10
     assert np.all(np.diff(trace.times) > 0)
@@ -78,7 +78,7 @@ def test_unitarity_trace_random_states(rng):
     sys = unbroken_system(4, 2, 2, 3)
     c = pt.build_c_operator(sys)
     a, b = random_state(rng, 4), random_state(rng, 4)
-    trace = pt.unitarity_trace(sys, c, a, b)
+    trace = pt.unitarity_trace(pt.classify_phase(sys), sys.p, c, a, b)
     assert trace.max_drift <= 1e-8
     assert trace.times.shape == (101,) and trace.times[-1] == 10.0
 
@@ -86,7 +86,7 @@ def test_unitarity_trace_random_states(rng):
 def test_pt_product_also_conserved(rng):
     sys = unbroken_system(3, 2, 1, 2)
     a, b = random_state(rng, 3), random_state(rng, 3)
-    trace = pt.unitarity_trace(sys, None, a, b, product="pt")
+    trace = pt.unitarity_trace(pt.classify_phase(sys), sys.p, None, a, b, product="pt")
     assert trace.max_drift <= 1e-8
 
 
@@ -94,7 +94,7 @@ def test_probability_conservation(rng):
     sys = unbroken_system(4, 2, 2, 4)
     c = pt.build_c_operator(sys)
     a = random_state(rng, 4)
-    trace = pt.unitarity_trace(sys, c, a, a, t_max=10.0, steps=101)
+    trace = pt.unitarity_trace(pt.classify_phase(sys), sys.p, c, a, a, t_max=10.0, steps=101)
     assert np.all(np.abs(trace.inner_products.imag) <= 1e-10)
     assert np.all(trace.inner_products.real > 0.0)
     assert trace.max_drift <= 1e-8
@@ -102,13 +102,14 @@ def test_probability_conservation(rng):
 
 def test_unitarity_trace_validation(rng):
     sys = unbroken_system(3, 2, 1, 0)
+    data = pt.classify_phase(sys)
     a = random_state(rng, 3)
     with pytest.raises(ValueError):
-        pt.unitarity_trace(sys, None, a, a, steps=1, product="pt")
+        pt.unitarity_trace(data, sys.p, None, a, a, steps=1, product="pt")
     with pytest.raises(ValueError):
-        pt.unitarity_trace(sys, None, a, a, product="euclidean")
+        pt.unitarity_trace(data, sys.p, None, a, a, product="euclidean")
     with pytest.raises(ValueError):
-        pt.unitarity_trace(sys, None, a, a)  # cpt needs C
+        pt.unitarity_trace(data, sys.p, None, a, a)  # cpt needs C
 
 
 def test_nonunitarity_demo_asymmetric():
@@ -160,7 +161,7 @@ def _loop_nonunitarity(h, p, t_max, steps, seed):
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
     apply_ket, apply_bra = _step_propagator(h), _step_propagator(h.T)
-    row0 = pt.pt_conjugate(a, p)
+    row0 = pt.pt_apply(a, p)
     times = np.linspace(0.0, t_max, steps)
     vals = np.empty(steps, dtype=np.complex128)
     for k, t in enumerate(times):
@@ -178,7 +179,8 @@ def test_unitarity_trace_matches_step_loop(rng, product):
     sys = unbroken_system(8, 6, 2, 0)
     c = pt.build_c_operator(sys)
     a, b = random_state(rng, 8), random_state(rng, 8)
-    trace = pt.unitarity_trace(sys, c, a, b, t_max=25.0, steps=LOOP_STEPS, product=product)
+    trace = pt.unitarity_trace(pt.classify_phase(sys), sys.p, c, a, b, t_max=25.0,
+                               steps=LOOP_STEPS, product=product)
     want = _loop_trace(sys, c, a, b, 25.0, LOOP_STEPS, product)
     _assert_matches_loop(trace.inner_products, want)
     assert trace.max_drift == float(np.max(np.abs(trace.inner_products - trace.inner_products[0])))
@@ -200,7 +202,7 @@ def test_non_finite_horizon_rejected(rng, t_max):
     sys = unbroken_system(3, 2, 1, 0)
     a = random_state(rng, 3)
     with pytest.raises(ValueError, match="t_max"):
-        pt.unitarity_trace(sys, None, a, a, t_max=t_max, product="pt")
+        pt.unitarity_trace(pt.classify_phase(sys), sys.p, None, a, a, t_max=t_max, product="pt")
     with pytest.raises(ValueError, match="t_max"):
         pt.nonunitarity_demo(ASYM, np.eye(2), t_max=t_max)
 
@@ -210,7 +212,7 @@ def test_overflowing_samples_raise_with_first_time(rng):
     c = pt.build_c_operator(sys)
     a = random_state(rng, 4)
     with pytest.raises(pt.ConvergenceError, match=r"non-finite inner product at t = "):
-        pt.unitarity_trace(sys, c, a, a, t_max=1e308, steps=101)
+        pt.unitarity_trace(pt.classify_phase(sys), sys.p, c, a, a, t_max=1e308, steps=101)
     # ASYM has eigenvalues 1 and 3: exp(-3it) overflows first at t = 6e307
     with pytest.raises(pt.ConvergenceError, match=r"at t = 6e\+307$"):
         pt.nonunitarity_demo(ASYM, np.eye(2), t_max=1e308, steps=51)
@@ -219,4 +221,5 @@ def test_overflowing_samples_raise_with_first_time(rng):
 def test_unitarity_trace_rejects_state_of_wrong_dimension(rng):
     sys = unbroken_system(3, 2, 1, 0)
     with pytest.raises(ValueError):
-        pt.unitarity_trace(sys, None, random_state(rng, 3), random_state(rng, 4), product="pt")
+        pt.unitarity_trace(pt.classify_phase(sys), sys.p, None, random_state(rng, 3),
+                           random_state(rng, 4), product="pt")

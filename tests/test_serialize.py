@@ -106,9 +106,9 @@ def test_trace_csv_format(rng, tmp_path):
     data = pt.classify_phase(sys)
     if data.phase is not pt.Phase.UNBROKEN:
         pytest.skip("seed no longer unbroken")
-    c = pt.build_c_operator(sys)
-    v = data.pairs[0].vector
-    trace = pt.unitarity_trace(sys, c, v, v, t_max=1.0, steps=5)
+    c = pt.c_operator(data, sys.p)
+    v = data.v[:, 0]
+    trace = pt.unitarity_trace(data, sys.p, c, v, v, t_max=1.0, steps=5)
     buf = io.StringIO()
     ser.write_trace_csv(buf, trace)
     lines = buf.getvalue().splitlines()

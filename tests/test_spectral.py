@@ -18,8 +18,8 @@ def two_level_system(r, s, t, phi):
 
 
 def test_pt_apply_examples():
-    v = np.array([0.3, -1.2], dtype=complex)
-    np.testing.assert_array_equal(pt.pt_apply(v, np.eye(2)), v)
+    for v in (np.array([0.3, -1.2], dtype=complex), np.array([0.2, 1.4], dtype=complex)):
+        np.testing.assert_array_equal(pt.pt_apply(v, np.eye(2)), v)
     got = pt.pt_apply(np.array([1.0, 1j]), SWAP)
     np.testing.assert_array_equal(got, np.array([-1j, 1.0]))
     with pytest.raises(ValueError):
@@ -44,23 +44,23 @@ def test_fix_pt_phase_real_vector_identity():
 
 def test_fix_pt_phase_fixes_random_unbroken_system():
     sys = unbroken_system(4, 2, 2, 0)
-    for pair in pt.classify_phase(sys).pairs:
-        resid = np.linalg.norm(pt.pt_apply(pair.vector, sys.p) - pair.vector)
+    for v in pt.classify_phase(sys).v.T:
+        resid = np.linalg.norm(pt.pt_apply(v, sys.p) - v)
         assert resid <= 1e-9
 
 
 def test_fix_pt_phase_rejects_broken_vector():
     sys = two_level_system(0.0, 2.0, 1.0, 0.0)
-    pairs = pt.eigendecompose(sys.h)
+    _, v, _ = pt.eig_arrays(sys.h)
     with pytest.raises(pt.CollinearityError):
-        pt.fix_pt_phase(pairs[0].vector, sys.p)
+        pt.fix_pt_phase(v[:, 0], sys.p)
 
 
 def test_classify_unbroken_half_coupling():
     # s/t = 1/2: eigenvalues +-t sqrt(1 - 1/4) = +-sqrt(3)/2
     data = pt.classify_phase(two_level_system(0.0, 0.5, 1.0, np.pi / 3))
     assert data.phase is pt.Phase.UNBROKEN
-    got = sorted(p.value.real for p in data.pairs)
+    got = sorted(data.w.real)
     np.testing.assert_allclose(got, [-np.sqrt(3) / 2, np.sqrt(3) / 2], atol=1e-12)
     assert data.real_count == 2 and data.conjugate_pairs == 0
 
@@ -69,7 +69,7 @@ def test_classify_broken_conjugate_pair():
     data = pt.classify_phase(two_level_system(0.0, 2.0, 1.0, 0.0))
     assert data.phase is pt.Phase.BROKEN
     assert data.conjugate_pairs == 1 and data.real_count == 0
-    got = sorted(p.value.imag for p in data.pairs)
+    got = sorted(data.w.imag)
     np.testing.assert_allclose(got, [-np.sqrt(3), np.sqrt(3)], atol=1e-12)
     assert data.pt_norm_signs is None
 
@@ -97,7 +97,7 @@ def test_broken_eigenvalues_pair_up():
         data = pt.classify_phase(sys)
         if data.phase is not pt.Phase.BROKEN:
             continue
-        values = [p.value for p in data.pairs]
+        values = data.w.tolist()
         nonreal = [z for z in values if abs(z.imag) > 1e-10 * max(1, abs(z))]
         assert len(nonreal) == 2 * data.conjugate_pairs
         for z in nonreal:
@@ -113,8 +113,8 @@ def test_rejection_sampling_finds_unbroken():
         sys = pt.random_pt_system(3, (2, 1), seed)
         data = pt.classify_phase(sys)
         assert data.phase is pt.Phase.UNBROKEN
-        for pair in data.pairs:
-            resid = np.linalg.norm(pt.pt_apply(pair.vector, sys.p) - pair.vector)
+        for v in data.v.T:
+            resid = np.linalg.norm(pt.pt_apply(v, sys.p) - v)
             assert resid <= 1e-9
 
 
@@ -143,8 +143,8 @@ def test_degenerate_spectrum_still_unbroken():
     data = pt.classify_phase(sys)
     assert data.phase is pt.Phase.UNBROKEN
     assert sorted(data.pt_norm_signs) == [-1, 1]
-    for pair in data.pairs:
-        assert np.linalg.norm(pt.pt_apply(pair.vector, sys.p) - pair.vector) <= 1e-9
+    for v in data.v.T:
+        assert np.linalg.norm(pt.pt_apply(v, sys.p) - v) <= 1e-9
 
 
 def test_footnote_transpose_equivalence(rng):
@@ -169,16 +169,19 @@ def _assert_rows_match_classify_phase(systems, got):
     for n, sys in enumerate(systems):
         want = pt.classify_phase(sys)
         row = got.row(n)
-        np.testing.assert_array_equal(got.w[n], [p.value for p in want.pairs])
+        # a row is a view of the stack, not a copy
+        assert all(np.shares_memory(x, y) for x, y in
+                   ((row.w, got.w), (row.v, got.v), (row.residuals, got.residuals)))
+        np.testing.assert_array_equal(got.w[n], want.w)
         assert row.phase is want.phase
         assert (row.real_count, row.conjugate_pairs) == (want.real_count, want.conjugate_pairs)
         if want.pt_norm_signs is None:
             assert row.pt_norm_signs is None and not got.signs[n].any()
         else:
             np.testing.assert_array_equal(row.pt_norm_signs, want.pt_norm_signs)
-        for a, b in zip(row.pairs, want.pairs):
-            np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-14)
-            assert abs(a.residual - b.residual) <= 1e-14
+        for k in range(sys.dim):
+            np.testing.assert_allclose(row.v[:, k], want.v[:, k], rtol=0, atol=1e-14)
+            assert abs(row.residuals[k] - want.residuals[k]) <= 1e-14
 
 
 @pytest.mark.parametrize("key", sorted(UNBROKEN_SEEDS))
