@@ -15,6 +15,15 @@ def two_level_system(r, s, t, phi):
     )
 
 
+def test_pt_conjugate_examples():
+    # PT conjugation v -> P conj(v), via pt_apply
+    v = np.array([0.2, 1.4], dtype=complex)
+    np.testing.assert_array_equal(pt.pt_apply(v, np.eye(2)), v)
+    np.testing.assert_array_equal(
+        pt.pt_apply(np.array([1.0, 1j]), SWAP), np.array([-1j, 1.0])
+    )
+
+
 def test_pt_conjugate_of_phase_fixed_is_transpose():
     # the PT-conjugate row [P conj(v)]^T of a phase-fixed v is v^T
     params = pt.TwoByTwoParams(0.1, 0.4, 1.0, 0.9)

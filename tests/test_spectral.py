@@ -18,8 +18,8 @@ def two_level_system(r, s, t, phi):
 
 
 def test_pt_apply_examples():
-    for v in (np.array([0.3, -1.2], dtype=complex), np.array([0.2, 1.4], dtype=complex)):
-        np.testing.assert_array_equal(pt.pt_apply(v, np.eye(2)), v)
+    v = np.array([0.3, -1.2], dtype=complex)
+    np.testing.assert_array_equal(pt.pt_apply(v, np.eye(2)), v)
     got = pt.pt_apply(np.array([1.0, 1j]), SWAP)
     np.testing.assert_array_equal(got, np.array([-1j, 1.0]))
     with pytest.raises(ValueError):
