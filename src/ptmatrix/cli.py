@@ -24,9 +24,9 @@ from .construct import (
     check_pt_pairs,
     classify_matrix,
     count_parity_params,
-    make_pt_system,
     max_signature,
     parameter_table,
+    pt_matrices,
     random_pt_system,
 )
 from .dynamics import nonunitarity_demo, unitarity_trace
@@ -85,6 +85,13 @@ def _signature(text: str) -> tuple[int, int]:
         raise UsageError(f"signature must be two integers, got {text!r}") from exc
 
 
+def _tol(text: str) -> float:
+    x = float(text)  # argparse reports a non-number
+    if not (math.isfinite(x) and x > 0.0):
+        raise UsageError(f"--tol must be finite and positive, got {text}")
+    return x
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptmatrix", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ptmatrix {__version__}")
@@ -94,13 +101,12 @@ def build_parser() -> _Parser:
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--signature", type=str, default=None, help="m+,m- (default: maximal)")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--tol", type=float, default=DEFAULT_TOL)
     g.add_argument("--out", type=str, required=True, help="output system JSON path")
     g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("analyze", help="spectral/phase/C-operator report for a system")
     a.add_argument("--input", type=str, required=True, help="system JSON path")
-    a.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    a.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     a.add_argument("--out", type=str, default=None, help="report JSON path (default stdout)")
     a.set_defaults(func=cmd_analyze)
 
@@ -120,7 +126,7 @@ def build_parser() -> _Parser:
     s.add_argument("--lo", type=float, required=True)
     s.add_argument("--hi", type=float, required=True)
     s.add_argument("--step", type=float, required=True)
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    s.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     s.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     s.set_defaults(func=cmd_sweep)
 
@@ -131,7 +137,7 @@ def build_parser() -> _Parser:
     e.add_argument("--state2", type=str, default=None, help="second state (default: same)")
     e.add_argument("--t-max", type=float, default=10.0)
     e.add_argument("--steps", type=int, default=101)
-    e.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    e.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     e.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     e.set_defaults(func=cmd_evolve)
     return parser
@@ -221,7 +227,7 @@ def _sweep_grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _two_level_points(args):
-    """points(values) -> (H, P, None): stacks of the two-level family along --param."""
+    """points(values) -> (H, P): stacks of the two-level family along --param."""
     if args.param not in ("r", "s", "t", "phi"):
         raise UsageError("two-level sweeps accept --param r|s|t|phi")
 
@@ -231,16 +237,14 @@ def _two_level_points(args):
         params = TwoByTwoParams(**base)
         h = h2(params)
         p = np.broadcast_to(p2(params.phi), h.shape)
-        return h, p, None
+        return h, p
 
     return points
 
 
 def _block_points(args, base_obj):
-    """(points, dim), points(values) -> (H, P, error): stacks of the base
-    system along one block entry, built point by point with make_pt_system.
-    A point that fails to build ends the stacks early; its error is returned,
-    for the caller to raise once the points before it are classified."""
+    """(points, dim), points(values) -> (H, P): stacks of the base system
+    along one block entry, rotated by pt_matrices with one R per call."""
     if not isinstance(base_obj, dict):
         raise ValueError("base system JSON must be an object")
     prov = base_obj.get("provenance") or {}
@@ -262,41 +266,30 @@ def _block_points(args, base_obj):
         raise UsageError(f"index [{i},{j}] out of range for block {name}")
 
     def points(values):
-        systems = []
-        error = None
-        for value in values:
-            arrs = {key: block.copy() for key, block in base.items()}
-            arrs[name][i, j] = value
-            if name in ("A", "C"):
-                arrs[name][j, i] = value  # keep the block symmetric
-            try:
-                systems.append(make_pt_system(
-                    BlockForm(a_block=arrs["A"], b_block=arrs["B"], c_block=arrs["C"]), spec
-                ))
-            except ValueError as exc:
-                error = exc
-                break
-        shape = (len(systems), spec.dim, spec.dim)
-        h = np.array([x.h for x in systems], dtype=np.complex128).reshape(shape)
-        p = np.array([x.p for x in systems], dtype=np.complex128).reshape(shape)
-        return h, p, error
+        arrs = {key: np.repeat(block[None], len(values), axis=0) for key, block in base.items()}
+        arrs[name][:, i, j] = values
+        if name in ("A", "C"):
+            arrs[name][:, j, i] = values  # keep the block symmetric
+        blocks = BlockForm(a_block=arrs["A"], b_block=arrs["B"], c_block=arrs["C"])
+        # overflow at a point past the first failing one must not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, p = pt_matrices(blocks, spec)
+        return h, np.broadcast_to(p, h.shape)
 
     return points, spec.dim
 
 
-def _classify_points(h: np.ndarray, p: np.ndarray, tol: float, check: bool) -> PhaseStack:
-    """classify_stack of a block of grid points (after check_pt_pairs when
-    check is set). When the block fails, its points are re-run one at a time
-    so the error raised is the first failing point's own, as a point-by-point
-    sweep would report it."""
+def _classify_points(h: np.ndarray, p: np.ndarray, tol: float) -> PhaseStack:
+    """check_pt_pairs, then classify_stack, of a block of grid points. When
+    the block fails, its points are re-run one at a time so the error raised
+    is the first failing point's own, as a point-by-point sweep would report
+    it."""
     try:
-        if check:
-            check_pt_pairs(h, p)
+        check_pt_pairs(h, p)
         return classify_stack(h, p, tol)
     except _POINT_ERRORS:
         for n in range(h.shape[0]):
-            if check:
-                check_pt_pairs(h[n:n + 1], p[n:n + 1])
+            check_pt_pairs(h[n:n + 1], p[n:n + 1])
             classify_stack(h[n:n + 1], p[n:n + 1], tol)
         raise
 
@@ -323,10 +316,7 @@ def cmd_sweep(args) -> int:
     out.write(f"value,{eig_cols}phase,min_gap\n")
     for lo in range(0, len(values), SWEEP_BLOCK):
         block = values[lo:lo + SWEEP_BLOCK]
-        h, p, build_error = points(block)
-        data = _classify_points(h, p, args.tol, check=args.input is None)
-        if build_error is not None:
-            raise build_error
+        data = _classify_points(*points(block), args.tol)
         # viewed as floats, each row of w is re_0, im_0, re_1, ... in CSV order
         row = "{:.17g}," * (1 + 2 * data.w.shape[1]) + "{},{:.17g}\n"
         rows = zip(block, data.w.view(np.float64).tolist(), data.phases, _min_gaps(data.w).tolist())

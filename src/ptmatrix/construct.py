@@ -6,7 +6,8 @@ A parity operator is a real symmetric involution realized as R P0 R^T, where
 P0 = diag(+1 x m_plus, -1 x m_minus) and R is an orthogonal matrix built as an
 ordered product of Givens rotations. The same R conjugates the block
 Hamiltonian H0 = [[A, iB], [iB^T, C]] into the general symmetric PT-symmetric
-Hamiltonian.
+Hamiltonian. pt_matrices builds R once and rotates one H0, or a stack of them
+from stacked blocks, so a system and a sweep share one construction.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class ParitySpec:
 
 @dataclass(frozen=True)
 class BlockForm:
-    """Real blocks (A, B, C) of the Hamiltonian [[A, iB], [iB^T, C]]."""
+    """Real blocks (A, B, C) of the Hamiltonian [[A, iB], [iB^T, C]], or
+    (N, ...) stacks of them."""
 
     a_block: np.ndarray
     b_block: np.ndarray
@@ -53,7 +55,7 @@ class BlockForm:
 
     @property
     def signature(self) -> tuple[int, int]:
-        return self.a_block.shape[0], self.c_block.shape[0]
+        return self.a_block.shape[-1], self.c_block.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -121,35 +123,42 @@ def make_p0(m_plus: int, m_minus: int) -> np.ndarray:
     )
 
 
+def _rotated(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """R m R^T, exactly symmetric; m is a matrix or an (N, D, D) stack."""
+    x = r @ m @ r.T
+    return (x + x.swapaxes(-1, -2)) / 2.0
+
+
 def make_parity(spec: ParitySpec) -> np.ndarray:
     """Realize P = R P0 R^T; real symmetric with P^2 = I."""
     p0 = make_p0(spec.m_plus, spec.m_minus)
-    r = make_rotation(spec.dim, spec.angles)
-    m = r @ p0.real @ r.T
-    return ((m + m.T) / 2.0).astype(np.complex128)  # exactly symmetric
+    return _rotated(make_rotation(spec.dim, spec.angles), p0.real).astype(np.complex128)
 
 
 def make_h0(blocks: BlockForm) -> np.ndarray:
-    """Assemble [[A, iB], [iB^T, C]]; complex symmetric by construction."""
+    """Assemble [[A, iB], [iB^T, C]]; complex symmetric by construction.
+    Blocks with a leading stack axis give an (N, D, D) stack."""
     a, b, c = blocks.a_block, blocks.b_block, blocks.c_block
     mp, mm = blocks.signature
-    if a.ndim != 2 or a.shape != (mp, mp) or c.ndim != 2 or c.shape != (mm, mm):
-        raise ValueError("A and C must be square")
-    if b.shape != (mp, mm):
-        raise ValueError(f"B must have shape {(mp, mm)}, got {b.shape}")
-    if max_abs(a - a.T) > SYMMETRY_TOL or max_abs(c - c.T) > SYMMETRY_TOL:
+    stack = a.shape[:-2]
+    want = (stack + (mp, mp), stack + (mp, mm), stack + (mm, mm))
+    if (a.shape, b.shape, c.shape) != want:
+        raise ValueError(f"blocks A, B, C need shapes {want}, got {(a.shape, b.shape, c.shape)}")
+    at, ct = a.swapaxes(-1, -2), c.swapaxes(-1, -2)
+    if max_abs(a - at) > SYMMETRY_TOL or max_abs(c - ct) > SYMMETRY_TOL:
         raise ValueError("A and C must be symmetric")
     d = mp + mm
-    h0 = np.zeros((d, d), dtype=np.complex128)
-    h0[:mp, :mp] = (a + a.T) / 2.0
-    h0[:mp, mp:] = 1j * b
-    h0[mp:, :mp] = 1j * b.T
-    h0[mp:, mp:] = (c + c.T) / 2.0
+    h0 = np.zeros(stack + (d, d), dtype=np.complex128)
+    h0[..., :mp, :mp] = (a + at) / 2.0
+    h0[..., :mp, mp:] = 1j * b
+    h0[..., mp:, :mp] = 1j * b.swapaxes(-1, -2)
+    h0[..., mp:, mp:] = (c + ct) / 2.0
     return h0
 
 
-def make_pt_system(blocks: BlockForm, spec: ParitySpec, seed=None) -> PTSystem:
-    """Rotate (H0, P0) by the same R into a bound PT-symmetric pair."""
+def pt_matrices(blocks: BlockForm, spec: ParitySpec) -> tuple[np.ndarray, np.ndarray]:
+    """(H, P) = (R H0 R^T, R P0 R^T) with one rotation R. H is a matrix, or an
+    (N, D, D) stack for stacked blocks; P is one (D, D) matrix either way."""
     if blocks.signature != (spec.m_plus, spec.m_minus):
         raise ValueError(
             f"block signature {blocks.signature} does not match parity "
@@ -157,9 +166,13 @@ def make_pt_system(blocks: BlockForm, spec: ParitySpec, seed=None) -> PTSystem:
         )
     h0 = make_h0(blocks)
     r = make_rotation(spec.dim, spec.angles)
-    m = r @ h0 @ r.T
-    h = (m + m.T) / 2.0  # exactly symmetric
-    p = make_parity(spec)
+    p0 = make_p0(spec.m_plus, spec.m_minus)
+    return _rotated(r, h0), _rotated(r, p0.real).astype(np.complex128)
+
+
+def make_pt_system(blocks: BlockForm, spec: ParitySpec, seed=None) -> PTSystem:
+    """Rotate (H0, P0) by the same R into a bound PT-symmetric pair."""
+    h, p = pt_matrices(blocks, spec)
     provenance = {
         "signature": [spec.m_plus, spec.m_minus],
         "angles": [float(x) for x in spec.angles],
@@ -170,11 +183,8 @@ def make_pt_system(blocks: BlockForm, spec: ParitySpec, seed=None) -> PTSystem:
         },
         "seed": seed,
     }
-    sys = PTSystem(h=h, p=p, provenance=provenance)
-    resid = max_abs(p @ h.conj() @ p - h)
-    if resid > PT_COMMUTATION_TOL:
-        raise ValueError(f"construction failed the PT-commutation check ({resid:.3e})")
-    return sys
+    check_pt_pairs(h, p)
+    return PTSystem(h=h, p=p, provenance=provenance)
 
 
 def pt_system_from_matrices(h, p, provenance=None, tol: float = DEFAULT_TOL) -> PTSystem:
@@ -199,8 +209,12 @@ def check_pt_pairs(h: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> No
     if max_abs(h - h.swapaxes(-1, -2)) > SYMMETRY_TOL:
         raise ValueError("H must be symmetric")
     _check_parities(p, tol)
-    if max_abs(p @ h.conj() @ p - h) > PT_COMMUTATION_TOL:
-        raise ValueError("H does not commute with the PT operation for this P")
+    resid = max_abs(p @ h.conj() @ p - h)
+    if resid > PT_COMMUTATION_TOL:
+        raise ValueError(
+            f"H does not commute with the PT operation for this P (residual "
+            f"{resid:.3e} > PT_COMMUTATION_TOL {PT_COMMUTATION_TOL:.0e})"
+        )
 
 
 def validate_parity(p, tol: float = DEFAULT_TOL) -> np.ndarray:

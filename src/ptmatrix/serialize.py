@@ -45,8 +45,15 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise ValueError(f"matrix JSON dim must be at least 1, got {dim}")
     if len(entries) != dim * dim:
         raise ValueError(f"matrix JSON needs {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return flat.reshape(dim, dim)
+    flat = []
+    try:
+        for entry in entries:
+            re, im = entry
+            flat.append(complex(re, im))
+    except (TypeError, ValueError):
+        k = len(flat)
+        raise ValueError(f"matrix JSON entry {k} must be two numbers [re, im], got {entry!r}") from None
+    return np.array(flat, dtype=np.complex128).reshape(dim, dim)
 
 
 def parity_spec_to_obj(spec: ParitySpec) -> dict:
@@ -109,12 +116,15 @@ def system_matrices_from_obj(obj) -> tuple[np.ndarray, np.ndarray, dict]:
     Used by consumers that must accept deliberately invalid systems, e.g. the
     asymmetric-Hamiltonian unitarity counterexample.
     """
-    try:
-        h = matrix_from_obj(obj["h"])
-        p = matrix_from_obj(obj["p"])
-    except (TypeError, KeyError) as exc:
-        raise ValueError("malformed system JSON") from exc
-    return h, p, obj.get("provenance") or {}
+    mats = []
+    for name in ("h", "p"):
+        try:
+            mats.append(matrix_from_obj(obj[name]))
+        except (TypeError, KeyError) as exc:
+            raise ValueError("malformed system JSON") from exc
+        except ValueError as exc:
+            raise ValueError(f"system JSON {name}: {exc}") from exc
+    return mats[0], mats[1], obj.get("provenance") or {}
 
 
 def system_from_obj(obj, tol: float = 1e-10) -> PTSystem:

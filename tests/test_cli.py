@@ -328,7 +328,10 @@ def test_sweep_matches_point_by_point_reference(tmp_path, capsys, param, lo, hi,
         assert phases[-1.0] == phases[1.0] == "exceptional"
 
 
-@pytest.mark.parametrize("key,param", [((8, 6, 2), "B[0,1]"), ((3, 2, 1), "A[0,1]")])
+@pytest.mark.parametrize("key,param", [
+    ((8, 6, 2), "B[0,1]"), ((3, 2, 1), "A[0,1]"),
+    ((8, 6, 2), "C[0,0]"), ((5, 3, 2), "A[1,1]"), ((3, 2, 1), "B[0,0]"),
+])
 def test_block_sweep_matches_point_by_point_reference(tmp_path, capsys, key, param):
     base = unbroken_system(*key, 0)
     src = tmp_path / "base.json"
@@ -356,44 +359,64 @@ def test_block_sweep_matches_point_by_point_reference(tmp_path, capsys, key, par
 
 
 @pytest.mark.parametrize("tol,code,message", [
-    ("1e-10", 1, "input error: cannot build at 0.5"),
-    # with a tolerance no residual meets, the points before 0.5 fail first
+    # B[0,0] = 2.5e6 leaves a round-off commutation residual above the
+    # absolute PT_COMMUTATION_TOL; the point before it classifies
+    ("1e-10", 1, "input error: H does not commute with the PT operation for this P "
+                 "(residual 4.657e-10 > PT_COMMUTATION_TOL 1e-10)"),
+    # with a tolerance no residual meets, the point before it fails first
     ("1e-300", 2, "numerical failure: eigenpair residual"),
-])
-def test_block_sweep_build_failure_surfaces_in_grid_order(tmp_path, capsys, monkeypatch,
-                                                          tol, code, message):
-    def failing(blocks, spec):
-        if blocks.b_block[0, 0] == 0.5:
-            raise ValueError("cannot build at 0.5")
-        return pt.make_pt_system(blocks, spec)
-
-    monkeypatch.setattr("ptmatrix.cli.make_pt_system", failing)
+], ids=["commutation", "residual"])
+def test_block_sweep_build_failure_surfaces_in_grid_order(tmp_path, capsys, tol, code, message):
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(unbroken_system(3, 2, 1, 0)))
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "0", "--hi", "1",
-            "--step", "0.125", "--tol", tol, "--out", str(out)]
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "0", "--hi", "4e7",
+            "--step", "2.5e6", "--tol", tol, "--out", str(out)]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
+def test_block_sweep_overflow_past_the_failing_point_is_silent(tmp_path, capsys):
+    # the first point fails PT commutation; points up to 1.7e308 overflow
+    # while the block is built, which must neither warn (an error under this
+    # suite's filterwarnings) nor decide the outcome
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    argv = ["sweep", "--input", str(src), "--param", "A[0,0]",
+            "--lo", "1e300", "--hi", "1.7e308", "--step", "1e307"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: H does not commute") and err.count("\n") == 1
+
+
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):
     # the block holds an unpaired-conjugates point (input error) before a
     # residual failure (numerical); the earlier point decides, as it would
-    # in a point-by-point sweep, though the stacked solve meets the later first
+    # in a point-by-point sweep, though the stacked solve meets the later first.
+    # Both crafted pairs pass check_pt_pairs, whose products are exact for
+    # these permutation parities. near_ep is a conjugate pair 0.01 from its
+    # exceptional point plus an anti-PT term of 4e-11 (commutation residual
+    # 8e-11), which splits the pair's conjugates by 8e-9, past the pairing
+    # tolerance of 1e-9
     base = unbroken_system(3, 2, 1, 0)
-    big = 1e12 * (base.h + np.diag([0.3, 0.1, -0.2]))
+    y = np.sqrt(1.0001)
+    near_ep = np.array([[4e-11 + 1j * y, 1, 0], [1, -4e-11 - 1j * y, 0], [0, 0, 5]])
+    swap = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    big = 1e12 * np.array([[1, 0, 0.5j], [0, 2, 0], [0.5j, 0, 3]])
+    original = pt.pt_matrices
 
     def crafted(blocks, spec):
-        x = blocks.b_block[0, 0]
-        if x == 0.25:
-            return pt.PTSystem(h=np.diag([1j, 2j, 3j]), p=np.eye(3, dtype=complex))
-        if x == 0.75:
-            return pt.PTSystem(h=big, p=base.p)
-        return pt.make_pt_system(blocks, spec)
+        h, p = original(blocks, spec)
+        p = np.broadcast_to(p, h.shape).copy()
+        for n, x in enumerate(blocks.b_block[:, 0, 0]):
+            if x == 0.25:
+                h[n], p[n] = near_ep, swap
+            if x == 0.75:
+                h[n], p[n] = big, np.diag([1.0, 1, -1])
+        return h, p
 
-    monkeypatch.setattr("ptmatrix.cli.make_pt_system", crafted)
+    monkeypatch.setattr("ptmatrix.cli.pt_matrices", crafted)
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(base))
     argv = ["sweep", "--input", str(src), "--param", "B[0,0]",
@@ -402,6 +425,61 @@ def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):
     assert "do not pair into conjugates" in capsys.readouterr().err
     assert main(argv[:-4] + ["--lo", "0.5", "--hi", "1", "--step", "0.125"]) == 2
     assert "eigenpair residual" in capsys.readouterr().err
+
+
+def test_block_sweep_builds_one_rotation_per_block(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = pt.construct.make_rotation
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    monkeypatch.setattr(pt.construct, "make_rotation", counted)
+    # 2 * SWEEP_BLOCK + 3 points: three blocks
+    argv = ["sweep", "--input", str(src), "--param", "B[0,1]", "--lo", "0",
+            "--hi", repr((2 * SWEEP_BLOCK + 2) / 1024), "--step", repr(1 / 1024),
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "evolve"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, value):
+    src = tmp_path / "sys.json"
+    write_json(src, system_to_obj(unbroken_system(3, 2, 1, 0)))
+    argv = [command, "--input", str(src), "--tol", value, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--param", "B[0,0]", "--lo", "0", "--hi", "1", "--step", "0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: --tol must be finite and positive, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_has_no_tol(tmp_path, capsys):
+    argv = ["generate", "--dim", "3", "--tol", "1e-9", "--out", str(tmp_path / "sys.json")]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ["h", "p"])
+@pytest.mark.parametrize("entry", ["x", [1, 2, 3], ["a", "b"], None],
+                         ids=["string", "triple", "strings", "null"])
+def test_malformed_matrix_entry_is_named(tmp_path, capsys, matrix, entry):
+    obj = system_to_obj(unbroken_system(3, 2, 1, 0))
+    obj[matrix]["entries"][4] = entry
+    src = tmp_path / "sys.json"
+    src.write_text(json.dumps(obj))
+    assert main(["analyze", "--input", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: system JSON {matrix}: matrix JSON entry 4 must be two numbers "
+        f"[re, im], got {entry!r}\n"
+    )
 
 
 def test_evolve_eigenstate_constant(tmp_path, capsys):

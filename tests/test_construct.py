@@ -102,6 +102,63 @@ def test_make_h0_rejects_bad_blocks():
         pt.make_h0(pt.BlockForm([[1.0, 0.2], [0.3, 1.0]], np.zeros((2, 1)), [[1.0]]))
     with pytest.raises(ValueError):
         pt.make_h0(pt.BlockForm([[1.0]], np.zeros((2, 1)), [[1.0]]))
+    # stacks: the leading axes must agree, and every row must be symmetric
+    a, b, c = np.zeros((3, 2, 2)), np.zeros((3, 2, 1)), np.zeros((3, 1, 1))
+    with pytest.raises(ValueError, match="need shapes"):
+        pt.make_h0(pt.BlockForm(a, b, c[:2]))
+    with pytest.raises(ValueError, match="need shapes"):
+        pt.make_h0(pt.BlockForm(a, b[:2], c))
+    a[1, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="A and C must be symmetric"):
+        pt.make_h0(pt.BlockForm(a, b, c))
+
+
+@pytest.mark.parametrize("mp,mm", [(1, 1), (2, 1), (6, 2), (2, 0), (0, 3)])
+def test_make_h0_stack_matches_rows(rng, mp, mm):
+    rows = [pt.construct.random_blocks(rng, mp, mm) for _ in range(7)]
+    stacked = pt.BlockForm(*(np.stack([getattr(b, k) for b in rows])
+                             for k in ("a_block", "b_block", "c_block")))
+    assert stacked.signature == (mp, mm)
+    h0 = pt.make_h0(stacked)
+    assert h0.shape == (7, mp + mm, mp + mm)
+    for n, blocks in enumerate(rows):
+        np.testing.assert_array_equal(h0[n], pt.make_h0(blocks))
+
+
+def test_pt_matrices_stack_matches_make_pt_system(rng):
+    spec = pt.ParitySpec(6, 2, pt.construct.random_angles(rng, 8))
+    rows = [pt.construct.random_blocks(rng, 6, 2) for _ in range(5)]
+    stacked = pt.BlockForm(*(np.stack([getattr(b, k) for b in rows])
+                             for k in ("a_block", "b_block", "c_block")))
+    h, p = pt.pt_matrices(stacked, spec)
+    assert h.shape == (5, 8, 8) and p.shape == (8, 8)
+    np.testing.assert_array_equal(p, pt.make_parity(spec))
+    for n, blocks in enumerate(rows):
+        sys = pt.make_pt_system(blocks, spec)
+        np.testing.assert_array_equal(h[n], sys.h)
+        np.testing.assert_array_equal(p, sys.p)
+
+
+def test_make_pt_system_builds_one_rotation(rng, monkeypatch):
+    calls = []
+    original = pt.construct.make_rotation
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pt.construct, "make_rotation", counted)
+    pt.random_pt_system(8, (6, 2), 13108)
+    assert len(calls) == 1
+
+
+def test_make_pt_system_commutation_failure_names_residual():
+    # entries near 1e8 leave a commutation residual of round-off size above
+    # the absolute PT_COMMUTATION_TOL
+    spec = pt.ParitySpec(2, 1, [0.3, 1.1, 2.0])
+    blocks = pt.BlockForm([[1e8, 0.2], [0.2, -3e8]], [[2e8], [0.5]], [[7e7]])
+    with pytest.raises(ValueError, match=r"residual \S+ > PT_COMMUTATION_TOL 1e-10"):
+        pt.make_pt_system(blocks, spec)
 
 
 def test_make_pt_system_identity_rotation(rng):
