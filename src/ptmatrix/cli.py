@@ -89,6 +89,16 @@ def _tol(text: str) -> float:
     x = float(text)  # argparse reports a non-number
     if not (math.isfinite(x) and x > 0.0):
         raise UsageError(f"--tol must be finite and positive, got {text}")
+    # |Im w| <= |w| always, so at tol >= 1 every eigenvalue would count as real
+    if x >= 1.0:
+        raise UsageError(f"--tol must be below 1, got {text}")
+    return x
+
+
+def _seed(text: str) -> int:
+    x = int(text)  # argparse reports a non-integer
+    if x < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {text}")
     return x
 
 
@@ -100,7 +110,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", help="generate a seeded random system")
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--signature", type=str, default=None, help="m+,m- (default: maximal)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", type=str, required=True, help="output system JSON path")
     g.set_defaults(func=cmd_generate)
 
@@ -227,7 +237,8 @@ def _sweep_grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _two_level_points(args):
-    """points(values) -> (H, P): stacks of the two-level family along --param."""
+    """points(values) -> (H, P): an H stack of the two-level family along
+    --param, and one P, or a P stack when --param is phi."""
     if args.param not in ("r", "s", "t", "phi"):
         raise UsageError("two-level sweeps accept --param r|s|t|phi")
 
@@ -235,16 +246,15 @@ def _two_level_points(args):
         base = {"r": args.r, "s": args.s, "t": args.t, "phi": args.phi}
         base[args.param] = np.array(values)
         params = TwoByTwoParams(**base)
-        h = h2(params)
-        p = np.broadcast_to(p2(params.phi), h.shape)
-        return h, p
+        return h2(params), p2(params.phi)
 
     return points
 
 
 def _block_points(args, base_obj):
-    """(points, dim), points(values) -> (H, P): stacks of the base system
-    along one block entry, rotated by pt_matrices with one R per call."""
+    """(points, dim), points(values) -> (H, P): an H stack of the base system
+    along one block entry and its one P, rotated by pt_matrices with one R
+    per call."""
     if not isinstance(base_obj, dict):
         raise ValueError("base system JSON must be an object")
     prov = base_obj.get("provenance") or {}
@@ -273,8 +283,7 @@ def _block_points(args, base_obj):
         blocks = BlockForm(a_block=arrs["A"], b_block=arrs["B"], c_block=arrs["C"])
         # overflow at a point past the first failing one must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            h, p = pt_matrices(blocks, spec)
-        return h, np.broadcast_to(p, h.shape)
+            return pt_matrices(blocks, spec)
 
     return points, spec.dim
 
@@ -289,8 +298,9 @@ def _classify_points(h: np.ndarray, p: np.ndarray, tol: float) -> PhaseStack:
         return classify_stack(h, p, tol)
     except _POINT_ERRORS:
         for n in range(h.shape[0]):
-            check_pt_pairs(h[n:n + 1], p[n:n + 1])
-            classify_stack(h[n:n + 1], p[n:n + 1], tol)
+            pn = p[n:n + 1] if p.ndim == 3 else p
+            check_pt_pairs(h[n:n + 1], pn)
+            classify_stack(h[n:n + 1], pn, tol)
         raise
 
 

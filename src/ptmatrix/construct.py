@@ -202,8 +202,9 @@ def pt_system_from_matrices(h, p, provenance=None, tol: float = DEFAULT_TOL) -> 
 def check_pt_pairs(h: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Validate (h, p), or every (h[n], p[n]) of two (N, D, D) complex stacks, as
     pt_system_from_matrices does: finite entries, H symmetric, P a real
-    symmetric involution, P conj(H) P = H. Raises ValueError for the first
-    check any row fails."""
+    symmetric involution, P conj(H) P = H. One (D, D) p serves every row of an
+    H stack, and is validated once. Raises ValueError for the first check any
+    row fails."""
     if not (np.isfinite(h).all() and np.isfinite(p).all()):
         raise ValueError("matrix contains NaN or Inf entries")
     if max_abs(h - h.swapaxes(-1, -2)) > SYMMETRY_TOL:
@@ -317,22 +318,38 @@ def classify_matrix(m, p=None, tol: float = DEFAULT_TOL) -> set[MatrixClass]:
 # angles uniform on [0, 2*pi).
 
 
-def _symmetric_from_upper(vals: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((m, m))
-    iu = np.triu_indices(m)
-    out[iu] = vals
-    return out + np.triu(out, 1).T
+def block_draw_count(m_plus: int, m_minus: int) -> int:
+    """Uniform draws behind one BlockForm: A's and C's upper triangles and B."""
+    return m_plus * (m_plus + 1) // 2 + m_plus * m_minus + m_minus * (m_minus + 1) // 2
+
+
+def blocks_from_draws(vals, m_plus: int, m_minus: int) -> BlockForm:
+    """Split block_draw_count(m_plus, m_minus) draws, in draw order, into A, B
+    and C; an (N, k) stack of draws gives stacked blocks."""
+    vals = np.asarray(vals, dtype=np.float64)
+    stack = vals.shape[:-1]
+    na, nb = m_plus * (m_plus + 1) // 2, m_plus * m_minus
+
+    def symmetric(upper: np.ndarray, m: int) -> np.ndarray:
+        out = np.zeros(stack + (m, m))
+        i, j = np.triu_indices(m)
+        out[..., i, j] = upper
+        out[..., j, i] = upper
+        return out
+
+    return BlockForm(
+        a_block=symmetric(vals[..., :na], m_plus),
+        b_block=vals[..., na:na + nb].reshape(stack + (m_plus, m_minus)),
+        c_block=symmetric(vals[..., na + nb:], m_minus),
+    )
 
 
 def random_blocks(rng: np.random.Generator, m_plus: int, m_minus: int) -> BlockForm:
-    a = _symmetric_from_upper(
-        rng.uniform(-1.0, 1.0, m_plus * (m_plus + 1) // 2), m_plus
+    """One draw of block_draw_count(m_plus, m_minus) uniforms: the same values,
+    and the same generator state after, as drawing A, B and C one by one."""
+    return blocks_from_draws(
+        rng.uniform(-1.0, 1.0, block_draw_count(m_plus, m_minus)), m_plus, m_minus
     )
-    b = rng.uniform(-1.0, 1.0, (m_plus, m_minus))
-    c = _symmetric_from_upper(
-        rng.uniform(-1.0, 1.0, m_minus * (m_minus + 1) // 2), m_minus
-    )
-    return BlockForm(a_block=a, b_block=b, c_block=c)
 
 
 def random_angles(rng: np.random.Generator, d: int) -> np.ndarray:

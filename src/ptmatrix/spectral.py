@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import PTSystem, make_h0, random_blocks, random_pt_system
+from .construct import PTSystem, block_draw_count, blocks_from_draws, make_h0, random_pt_system
 from .errors import BrokenPhaseError, CollinearityError, ExceptionalPointError
 from .linalg import DEFAULT_TOL, column_norms, eig_arrays, multi_clusters
 
@@ -21,6 +21,12 @@ from .linalg import DEFAULT_TOL, column_norms, eig_arrays, multi_clusters
 # when eigenvectors coalesce; for the two-level family the value equals
 # sqrt(|1 - s^2/t^2|), so this threshold flags |s - t| < 2e-8 at t = 1.
 EP_ISOTROPY_TOL = 2e-4
+
+# seeds prescreened per stacked eigensolve by find_unbroken_seeds: a first
+# block of 16 already gets most of the batching gain and costs a short scan
+# little; doubling to 512 amortizes long scans at bounded memory
+SCAN_BLOCK_FIRST = 16
+SCAN_BLOCK_MAX = 512
 
 
 class Phase(enum.Enum):
@@ -55,9 +61,10 @@ def pt_apply(v, p) -> np.ndarray:
 
 def _fix_columns(v: np.ndarray, p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """fix_pt_phase applied to every column of an (N, D, K) stack of vectors,
-    with the (N, D, D) stack of parities; returns the fixed stack and the
-    (N, K) PT-collinearity residuals. Columns whose residual exceeds tol are
-    returned rescaled all the same; the caller decides what a miss means."""
+    with an (N, D, D) stack of parities or one (D, D) parity; returns the
+    fixed stack and the (N, K) PT-collinearity residuals. Columns whose
+    residual exceeds tol are returned rescaled all the same; the caller
+    decides what a miss means."""
     pv = p @ v.conj()
     nv2 = np.einsum("nik,nik->nk", v.conj(), v).real
     if (nv2 <= 0.0).any():
@@ -167,7 +174,8 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
 
 
 def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
-    """classify_phase of every (h[n], p[n]) of two (N, D, D) stacks at once.
+    """classify_phase of every (h[n], p[n]) of two (N, D, D) stacks at once;
+    one (D, D) p serves every row of h.
 
     The pairs are taken as given (see construct.check_pt_pairs). One batched
     eigensolve serves the stack; Python runs per row only to pair the
@@ -177,9 +185,10 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     """
     hs = np.asarray(h, dtype=np.complex128)
     ps = np.asarray(p, dtype=np.complex128)
-    if hs.ndim != 3 or hs.shape[1] < 1 or ps.shape != hs.shape:
+    if hs.ndim != 3 or hs.shape[1] < 1 or ps.shape not in (hs.shape, hs.shape[1:]):
         raise ValueError(
-            f"expected two (N, D, D) stacks of one shape with D >= 1, got {hs.shape} and {ps.shape}"
+            "expected an (N, D, D) stack with D >= 1 and a (D, D) parity or a stack of "
+            f"the same shape, got {hs.shape} and {ps.shape}"
         )
     w, v, res = eig_arrays(hs, tol)
     n, d = w.shape
@@ -207,12 +216,13 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     for row, cols_list in runs.items():
         if exceptional[row] or broken[row]:
             continue
+        pr = ps[row] if ps.ndim == 3 else ps
         try:
             for cols in cols_list:
                 if len(cols) == 1:
-                    v[row, :, cols.start] = fix_pt_phase(v[row, :, cols.start], ps[row], tol)
+                    v[row, :, cols.start] = fix_pt_phase(v[row, :, cols.start], pr, tol)
                 else:
-                    _pt_fix_cluster(v[row], cols, ps[row], tol)
+                    _pt_fix_cluster(v[row], cols, pr, tol)
         except CollinearityError:
             exceptional[row] = True
         # mixing a cluster's vectors moves their residuals; a phase does not
@@ -285,26 +295,34 @@ def find_unbroken_seeds(
     tol: float = DEFAULT_TOL,
     max_trials: int = 5_000_000,
 ) -> list[int]:
-    """Scan seeds upward and keep those whose random system is unbroken.
+    """Scan seeds upward from start_seed and keep those whose random system is
+    unbroken; raise RuntimeError when max_trials seeds hold fewer than count.
 
-    The spectrum is rotation-invariant, so seeds are pre-screened on the
-    block form alone before the full system is classified.
+    The spectrum is rotation-invariant, so seeds are prescreened on the block
+    form alone, a block of seeds per stacked eigensolve: 16 seeds first, then
+    twice as many each time up to SCAN_BLOCK_MAX. The seeds whose block form
+    has a real spectrum are then classified one by one, in seed order, and the
+    scan stops at the count-th unbroken one. An eigenpair residual above tol
+    (ConvergenceError) raises for the whole block that holds the failing seed.
     """
+    if start_seed < 0:
+        raise ValueError(f"start_seed must be a non-negative integer, got {start_seed}")
+    m_plus, m_minus = signature
+    k = block_draw_count(m_plus, m_minus)
     found: list[int] = []
-    seed = start_seed
-    trials = 0
+    seed, end, size = start_seed, start_seed + max_trials, SCAN_BLOCK_FIRST
     while len(found) < count:
-        if trials >= max_trials:
+        if seed >= end:
             raise RuntimeError(
                 f"no {count} unbroken systems within {max_trials} trials"
             )
-        trials += 1
-        rng = np.random.default_rng(seed)
-        h0 = make_h0(random_blocks(rng, *signature))
-        w, _, _ = eig_arrays(h0, tol)
-        if bool(_real_eigenvalues(w, tol).all()):
-            sys = random_pt_system(dim, signature, seed)
-            if classify_phase(sys, tol).phase is Phase.UNBROKEN:
-                found.append(seed)
-        seed += 1
+        seeds = range(seed, min(seed + size, end))
+        draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
+        w, _, _ = eig_arrays(make_h0(blocks_from_draws(draws, m_plus, m_minus)), tol)
+        for s in np.asarray(seeds)[_real_eigenvalues(w, tol).all(axis=1)].tolist():
+            if classify_phase(random_pt_system(dim, signature, s), tol).phase is Phase.UNBROKEN:
+                found.append(s)
+                if len(found) == count:
+                    break
+        seed, size = seeds.stop, min(2 * size, SCAN_BLOCK_MAX)
     return found

@@ -461,6 +461,30 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "evolve"])
+@pytest.mark.parametrize("value", ["1", "10"])
+def test_tol_must_be_below_one(tmp_path, capsys, command, value):
+    # |Im w| <= |w|, so at tol >= 1 every eigenvalue would pass as real
+    src = tmp_path / "sys.json"
+    write_json(src, system_to_obj(unbroken_system(3, 2, 1, 0)))
+    argv = [command, "--input", str(src), "--tol", value, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--param", "B[0,0]", "--lo", "0", "--hi", "1", "--step", "0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: --tol must be below 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "-12345678901234567890"])
+def test_generate_rejects_negative_seed(tmp_path, capsys, value):
+    out = tmp_path / "sys.json"
+    assert main(["generate", "--dim", "3", "--seed", value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: --seed must be a non-negative integer, got {value}\n"
+    assert not out.exists()
+
+
 def test_generate_has_no_tol(tmp_path, capsys):
     argv = ["generate", "--dim", "3", "--tol", "1e-9", "--out", str(tmp_path / "sys.json")]
     assert main(argv) == 1

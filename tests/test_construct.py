@@ -97,6 +97,28 @@ def test_make_h0_commutation(rng):
         assert pt.max_abs(p0 @ h0.conj() - h0 @ p0) <= 1e-12
 
 
+@pytest.mark.parametrize("mp,mm", [(1, 1), (6, 2), (3, 2), (2, 0), (0, 3)])
+def test_stacked_block_draws_match_random_blocks(mp, mm):
+    k = pt.construct.block_draw_count(mp, mm)
+    seeds = range(100, 140)
+    draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
+    stacked = pt.construct.blocks_from_draws(draws, mp, mm)
+    for n, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        blocks = pt.construct.random_blocks(rng, mp, mm)
+        for name in ("a_block", "b_block", "c_block"):
+            np.testing.assert_array_equal(getattr(stacked, name)[n], getattr(blocks, name))
+        # three separate draws, as A, B and C were once drawn, give the same
+        # values and leave the generator where random_blocks leaves it
+        ref = np.random.default_rng(seed)
+        sizes = (mp * (mp + 1) // 2, mp * mm, mm * (mm + 1) // 2)
+        parts = np.concatenate([ref.uniform(-1.0, 1.0, size) for size in sizes])
+        np.testing.assert_array_equal(parts, draws[n])
+        assert rng.bit_generator.state == ref.bit_generator.state
+    np.testing.assert_array_equal(stacked.a_block, stacked.a_block.swapaxes(-1, -2))
+    np.testing.assert_array_equal(stacked.c_block, stacked.c_block.swapaxes(-1, -2))
+
+
 def test_make_h0_rejects_bad_blocks():
     with pytest.raises(ValueError):
         pt.make_h0(pt.BlockForm([[1.0, 0.2], [0.3, 1.0]], np.zeros((2, 1)), [[1.0]]))
@@ -319,3 +341,14 @@ def test_check_pt_pairs_checks_every_row(row, breakage, message):
         pt.check_pt_pairs(h, p)
     with pytest.raises(ValueError, match=message):
         pt.pt_system_from_matrices(h[row], p[row])
+
+
+def test_check_pt_pairs_one_parity_for_a_stack():
+    h, p = _two_level_stack(5)
+    one = p[0].copy()
+    pt.check_pt_pairs(h, one)
+    h[3] = np.diag([1j, 2.0])
+    with pytest.raises(ValueError, match="does not commute with the PT operation"):
+        pt.check_pt_pairs(h, one)
+    with pytest.raises(ValueError, match="parity must square to the identity"):
+        pt.check_pt_pairs(h, 2.0 * one)

@@ -118,6 +118,70 @@ def test_rejection_sampling_finds_unbroken():
             assert resid <= 1e-9
 
 
+@pytest.mark.parametrize("key", [(2, 1, 1), (3, 2, 1), (4, 2, 2), (5, 3, 2), (6, 5, 1),
+                                 (7, 6, 1), (8, 7, 1)])
+def test_scan_reproduces_frozen_seed_lists(key):
+    dim, mp, mm = key
+    want = UNBROKEN_SEEDS[key]
+    assert pt.find_unbroken_seeds(dim, (mp, mm), len(want)) == want
+
+
+@pytest.mark.parametrize("end", UNBROKEN_SEEDS[(8, 6, 2)][:10])
+def test_scan_window_ending_at_a_frozen_seed_finds_it(end):
+    # the frozen (8,6,2) list holds every unbroken seed up to its last entry
+    assert pt.find_unbroken_seeds(8, (6, 2), 1, start_seed=end - 15) == [end]
+
+
+@pytest.mark.parametrize("key,start", [((3, 2, 1), 0), ((8, 6, 2), 13108 - 100)])
+def test_scan_max_trials_boundary(key, start):
+    dim, mp, mm = key
+    answer = next(s for s in UNBROKEN_SEEDS[key] if s >= start)
+    k = answer - start
+    got = pt.find_unbroken_seeds(dim, (mp, mm), 1, start_seed=start, max_trials=k + 1)
+    assert got == [answer]
+    with pytest.raises(RuntimeError, match=f"within {k} trials"):
+        pt.find_unbroken_seeds(dim, (mp, mm), 1, start_seed=start, max_trials=k)
+
+
+def test_scan_count_zero_and_real_symmetric_signatures():
+    assert pt.find_unbroken_seeds(8, (6, 2), 0, start_seed=5) == []
+    # H0 = A is real symmetric and P = I: every seed is unbroken
+    assert pt.find_unbroken_seeds(3, (3, 0), 5, start_seed=7) == [7, 8, 9, 10, 11]
+    assert pt.find_unbroken_seeds(2, (2, 0), 40) == list(range(40))
+
+
+def test_scan_rejects_negative_start_seed_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="start_seed must be a non-negative integer, got -1"):
+        pt.find_unbroken_seeds(3, (2, 1), 1, start_seed=-1)
+
+
+def test_scan_prescreens_each_block_with_one_eigensolve(monkeypatch):
+    rows = []
+    original = pt.spectral.eig_arrays
+
+    def counted(m, tol):
+        rows.append(m.shape[0])
+        return original(m, tol)
+
+    monkeypatch.setattr(pt.spectral, "eig_arrays", counted)
+    want = UNBROKEN_SEEDS[(5, 3, 2)]
+    assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
+    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; every other solve
+    # is classify_phase of one prescreened candidate
+    prescreens = [n for n in rows if n > 1]
+    assert prescreens == [16, 32, 64, 128, 256] + [512] * 12
+    assert len(rows) - len(prescreens) >= len(want)
+    # a cut block stops at max_trials
+    rows.clear()
+    with pytest.raises(RuntimeError):
+        pt.find_unbroken_seeds(5, (3, 2), 1, max_trials=40)
+    assert [n for n in rows if n > 1] == [16, 24]
+
+
 def test_pt_norm_signature_two_level():
     signs = pt.pt_norm_signature(two_level_system(0.4, 0.3, 1.0, 2.2))
     assert sorted(signs) == [-1, 1]
@@ -230,6 +294,19 @@ def test_classify_stack_cluster_rows_among_plain_rows():
     _assert_rows_match_classify_phase(systems, got)
     assert got.phases == [pt.Phase.UNBROKEN] * 3
     assert sorted(got.signs[1]) == [-1, 1]
+
+
+def test_classify_stack_one_parity_equals_a_parity_stack():
+    # two-level grid across the exceptional point, and H = I (a cluster row)
+    p = pt.p2(1.3)
+    h = pt.h2(pt.TwoByTwoParams(0.1, np.linspace(0.0, 2.0, 41), 1.0, 1.3))
+    h = np.concatenate([h, np.eye(2, dtype=complex)[None]])
+    want = pt.classify_stack(h, np.broadcast_to(p, h.shape))
+    got = pt.classify_stack(h, p)
+    assert got.phases == want.phases
+    assert {pt.Phase.UNBROKEN, pt.Phase.BROKEN} <= set(got.phases)
+    for name in ("w", "v", "residuals", "real_count", "conjugate_pairs", "signs"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_classify_stack_collinearity_failure_is_exceptional():
