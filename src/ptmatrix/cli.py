@@ -40,6 +40,7 @@ from .linalg import DEFAULT_TOL, is_symmetric, max_abs
 from .serialize import (
     block_form_from_obj,
     fmt17,
+    format_rows,
     matrix_to_obj,
     parity_spec_from_obj,
     read_json,
@@ -231,8 +232,10 @@ def _sweep_grid(lo: float, hi: float, step: float) -> list[float]:
     steps = (limit - lo) / step
     if not math.isfinite(steps):
         raise UsageError(f"--step {step} is too small for the range [{lo}, {hi}]")
-    # two past the quotient: one for k = 0, one for the quotient's round-off
-    xs = lo + np.arange(max(0, math.floor(steps) + 2)) * step
+    # two past the quotient: one for k = 0, one for the quotient's round-off;
+    # the filter drops a point past the float range (inf)
+    with np.errstate(over="ignore"):
+        xs = lo + np.arange(max(0, math.floor(steps) + 2)) * step
     return xs[xs <= limit].tolist()
 
 
@@ -315,6 +318,15 @@ def _min_gaps(w: np.ndarray) -> np.ndarray:
     return np.hypot(diff.real, diff.imag).min(axis=1)
 
 
+def _sweep_rows(values: list[float], w: np.ndarray, phases: list[Phase],
+                gaps: np.ndarray) -> str:
+    """CSV rows `value, re_0, im_0, ..., phase, min_gap` of a block of points."""
+    cols = np.empty((len(values), 2 * w.shape[1] + 3), dtype=object)
+    cols[:, 0], cols[:, -2], cols[:, -1] = values, [phase.value for phase in phases], gaps
+    cols[:, 1:-2] = w.view(np.float64)  # each row of w as re_0, im_0, re_1, ...
+    return format_rows("%.17g," * (cols.shape[1] - 2) + "%s,%.17g\n", cols)
+
+
 def cmd_sweep(args) -> int:
     values = _sweep_grid(args.lo, args.hi, args.step)
     if args.input is None:
@@ -327,10 +339,7 @@ def cmd_sweep(args) -> int:
     for lo in range(0, len(values), SWEEP_BLOCK):
         block = values[lo:lo + SWEEP_BLOCK]
         data = _classify_points(*points(block), args.tol)
-        # viewed as floats, each row of w is re_0, im_0, re_1, ... in CSV order
-        row = "{:.17g}," * (1 + 2 * data.w.shape[1]) + "{},{:.17g}\n"
-        rows = zip(block, data.w.view(np.float64).tolist(), data.phases, _min_gaps(data.w).tolist())
-        out.writelines(row.format(value, *parts, phase.value, gap) for value, parts, phase, gap in rows)
+        out.write(_sweep_rows(block, data.w, data.phases, _min_gaps(data.w)))
     _emit(out.getvalue(), args.out)
     return EXIT_OK
 

@@ -5,11 +5,11 @@ product of evolving states; an asymmetric Hamiltonian forces a weight-matrix
 inner product whose value drifts because the weight fails to commute with H.
 
 A trace propagates with the classification's eigenvectors, so H is solved
-once per system, and the samples of a uniform time grid are computed with
-numpy over blocks of TIME_BLOCK times, the product folded into one fixed
-bilinear form. A non-finite horizon is a ValueError; a sample that
-overflows (large t, or growing modes of a non-Hermitian H) is a
-ConvergenceError naming the first such time.
+once per system, and folds V, V^-1 and the product's matrix into one D x D
+Gram matrix: a block of TIME_BLOCK times costs one (T, D) array of phases
+exp(-iwt) and one (T, D) @ (D, D) product. A non-finite horizon is a
+ValueError; a sample that overflows (large t, or growing modes of a
+non-Hermitian H) is a ConvergenceError naming the first such time.
 """
 
 from __future__ import annotations
@@ -58,24 +58,6 @@ def evolve(sys: PTSystem, state, t: float, tol: float = DEFAULT_TOL) -> np.ndarr
     return mat_exp_times(sys.h, -1j * t, tol) @ vec
 
 
-def _propagator(w: np.ndarray, v: np.ndarray, vinv: np.ndarray):
-    """apply(state, times) for the matrix V diag(w) V^-1.
-
-    apply gives a (len(times), D) array whose rows are exp(-iHt) state, one per
-    t; a (k, D) stack of states gives (k, len(times), D) and shares one block
-    of phases exp(-iwt) between them.
-    """
-    vt = v.T
-    minus_iw = -1j * w
-
-    def apply(state: np.ndarray, times: np.ndarray) -> np.ndarray:
-        coeffs = state @ vinv.T
-        phases = np.exp(np.multiply.outer(times, minus_iw))
-        return (coeffs[..., None, :] * phases) @ vt
-
-    return apply
-
-
 def _grid(t_max: float, steps: int) -> np.ndarray:
     if steps < 2:
         raise ValueError("need at least two samples")
@@ -120,9 +102,10 @@ def unitarity_trace(
     H that data classifies (see classify_phase), with parity p.
 
     Both products are conserved for a PT-symmetric H; the CPT one is the
-    positive-definite physical norm. The propagator is V diag(exp(-iwt)) V^-1
-    over data's eigenvectors; ExceptionalPointError when cond(V) exceeds
-    COND_CAP (see linalg.eigvec_inverse).
+    positive-definite physical norm. The sample at t is conj(E alpha)^T G
+    (E beta) with E = diag(exp(-iwt)), alpha = V^-1 a, beta = V^-1 b and the
+    Gram matrix G = V^H F V of the product's form F over data's eigenvectors;
+    ExceptionalPointError when cond(V) exceeds COND_CAP (eigvec_inverse).
     """
     if product not in ("cpt", "pt"):
         raise ValueError("product must be 'cpt' or 'pt'")
@@ -137,12 +120,12 @@ def unitarity_trace(
     # (a|b) = conj(a)^T P^T b and <a|b> = (C P conj(a))^T b = conj(a)^T P^T C^T b
     form = pm.T if product == "pt" else (as_matrix(c) @ pm).T
     times = _grid(t_max, steps)
-    apply = _propagator(data.w, data.v, eigvec_inverse(data.v))
-    states = np.stack([av, bv])
+    gram = data.v.conj().T @ form @ data.v
+    alpha, beta = np.stack([av, bv]) @ eigvec_inverse(data.v).T
 
     def block_values(block: np.ndarray) -> np.ndarray:
-        at, bt = apply(states, block)
-        return np.einsum("ti,ti->t", at.conj() @ form, bt)
+        phases = np.exp(np.multiply.outer(block, -1j * data.w))
+        return np.einsum("tj,tj->t", (phases * alpha).conj() @ gram, phases * beta)
 
     vals = _sample(times, block_values)
     drift = float(np.max(np.abs(vals - vals[0])))
@@ -182,15 +165,13 @@ def nonunitarity_demo(
     b /= np.linalg.norm(b)
 
     times = _grid(t_max, steps)
-    apply_ket = _propagator(w, v, vinv)
-    # the bra row evolves as (a,t| = (a,0| exp(+iHt); for symmetric H this is
-    # the same as PT-conjugating the evolved ket, for asymmetric H it is not.
-    # H^T = V^-T diag(w) V^T shares H's one decomposition (cond(V^T) = cond(V))
-    apply_bra = _propagator(w, vinv.T, v.T)
-    row0 = pt_apply(a, pm)
+    # the bra row evolves as (a,t| = (a,0| V diag(exp(iwt)) V^-1; for symmetric
+    # H this is PT-conjugating the evolved ket, for asymmetric H it is not
+    gram, left, right = vinv @ weight @ v, pt_apply(a, pm) @ v, vinv @ b
 
     def block_values(block: np.ndarray) -> np.ndarray:
-        return np.einsum("ti,ti->t", apply_bra(row0, -block) @ weight, apply_ket(b, block))
+        bra = np.exp(np.multiply.outer(block, 1j * w)) * left
+        return np.einsum("tj,tj->t", bra @ gram, np.exp(np.multiply.outer(block, -1j * w)) * right)
 
     vals = _sample(times, block_values)
     drift = float(np.max(np.abs(vals - vals[0])))

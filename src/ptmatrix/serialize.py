@@ -162,13 +162,18 @@ def read_json(path):
         return json.load(fh)
 
 
+def format_rows(row: str, cols: np.ndarray) -> str:
+    """The rows of an (N, k) float or object array, each formatted by the
+    %-template row, in one pass; "%.17g" formats a float as fmt17 does."""
+    return (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+
+
 def write_trace_csv(fh: IO[str], trace: EvolutionTrace) -> None:
     """Evolution trace rows `t, re_inner, im_inner` (header mandatory)."""
     fh.write("t,re_inner,im_inner\n")
     times, z = trace.times, trace.inner_products
-    # Python floats format exactly as fmt17 does, without a numpy scalar per
-    # call; converting TIME_BLOCK rows at a time bounds the memory of the lists
+    # TIME_BLOCK rows at a time bound the memory of the operand tuple
     for lo in range(0, times.shape[0], TIME_BLOCK):
         part = slice(lo, lo + TIME_BLOCK)
-        rows = zip(times[part].tolist(), z.real[part].tolist(), z.imag[part].tolist())
-        fh.writelines(f"{t:.17g},{re:.17g},{im:.17g}\n" for t, re, im in rows)
+        fh.write(format_rows("%.17g,%.17g,%.17g\n",
+                             np.column_stack((times[part], z.real[part], z.imag[part]))))

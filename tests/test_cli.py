@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ptmatrix as pt
-from ptmatrix.cli import SWEEP_BLOCK, main
+from ptmatrix.cli import SWEEP_BLOCK, _sweep_grid, _sweep_rows, main
 from ptmatrix.serialize import (
     fmt17,
     read_json,
@@ -388,6 +388,44 @@ def test_block_sweep_overflow_past_the_failing_point_is_silent(tmp_path, capsys)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: H does not commute") and err.count("\n") == 1
+
+
+def test_sweep_grid_past_the_float_range_is_silent(tmp_path, capsys):
+    # lo + k * step is inf for the candidate points past 1.7e308; building the
+    # grid must not warn, and the grid keeps the point-by-point values
+    assert _sweep_grid(1e307, 1.7e308, 1e307) == _grid_loop(1e307, 1.7e308, 1e307)
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    argv = ["sweep", "--input", str(src), "--param", "A[0,0]",
+            "--lo", "1e307", "--hi", "1.7e308", "--step", "1e307"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: H does not commute") and err.count("\n") == 1
+
+
+def test_two_level_sweep_overflow_is_silent(capsys):
+    # near 1e300 the eigenvector and cluster norms overflow; the residual
+    # bound rejects the block, and no RuntimeWarning is printed before it
+    argv = ["sweep", "--t", "1", "--param", "s", "--lo", "0", "--hi", "1e300", "--step", "1e298"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigenpair residual 1.000e+00 above tolerance")
+    assert err.count("\n") == 1
+
+
+def test_sweep_rows_match_fmt17_rows():
+    specials = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]
+    values = specials + [0.25]
+    w = np.array([[complex(x, y), complex(y, -x)] for x, y in zip(values, values[::-1])])
+    phases = [pt.Phase.UNBROKEN, pt.Phase.BROKEN, pt.Phase.EXCEPTIONAL] * 2 + [pt.Phase.UNBROKEN]
+    gaps = np.array(values[::-1])
+    want = "".join(
+        f"{fmt17(x)}," + "".join(f"{fmt17(z.real)},{fmt17(z.imag)}," for z in row)
+        + f"{phase.value},{fmt17(gap)}\n"
+        for x, row, phase, gap in zip(values, w, phases, gaps)
+    )
+    assert _sweep_rows(values, w, phases, gaps) == want
+    assert ",-0," in want and "e-324" in want and "-inf" in want and "nan" in want
 
 
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):

@@ -186,6 +186,22 @@ def test_unitarity_trace_matches_step_loop(rng, product):
     assert trace.max_drift == float(np.max(np.abs(trace.inner_products - trace.inner_products[0])))
 
 
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("product", ["cpt", "pt"])
+def test_long_horizon_trace_matches_step_loop(rng, product, index):
+    # the phases exp(-iwt) carry a round-off of about eps * |w| * t in both
+    # evaluations, so the agreement is bounded relative to the horizon
+    t_max = 1e3
+    sys = unbroken_system(8, 6, 2, index)
+    c = pt.build_c_operator(sys)
+    a, b = random_state(rng, 8), random_state(rng, 8)
+    trace = pt.unitarity_trace(pt.classify_phase(sys), sys.p, c, a, b, t_max=t_max,
+                               steps=LOOP_STEPS, product=product)
+    want = _loop_trace(sys, c, a, b, t_max, LOOP_STEPS, product)
+    got = trace.inner_products
+    assert np.max(np.abs(got - want)) <= 1e-14 * t_max * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("which", ["symmetric_862", "asymmetric"])
 def test_nonunitarity_demo_matches_step_loop(which):
     if which == "asymmetric":

@@ -91,6 +91,15 @@ def test_residual_contract(dim, rng):
             np.testing.assert_allclose(np.linalg.norm(v[:, k]), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m,bad", [
+    ([[1e300, 1e300j], [1e300j, -1e300]], "inf"),  # the residual overflows
+    ([[1.7e308, 1e308], [1e308, 1.7e308]], "nan"),  # an eigenvalue is inf
+])
+def test_overflowing_residual_is_rejected_without_warning(m, bad):
+    with pytest.raises(pt.ConvergenceError, match=f"eigenpair residual {bad} above tolerance"):
+        eig_arrays(np.array(m, dtype=complex))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_trace_and_determinant(dim, rng):
     for _ in range(10):

@@ -5,6 +5,7 @@ import pytest
 
 import ptmatrix as pt
 from ptmatrix import serialize as ser
+from ptmatrix.dynamics import TIME_BLOCK
 
 
 def test_matrix_round_trip(rng):
@@ -134,3 +135,19 @@ def test_trace_csv_matches_fmt17_rows():
     )
     assert buf.getvalue() == want
     assert ",-0," in want and "e-324" in want and "inf" in want and "nan" in want
+
+
+def test_trace_csv_block_edges_match_fmt17_rows(rng):
+    import io
+
+    # two full blocks of TIME_BLOCK rows and a short third one
+    steps = 2 * TIME_BLOCK + 3
+    times = np.linspace(0.0, 10.0, steps)
+    vals = rng.standard_normal(steps) + 1j * rng.standard_normal(steps)
+    trace = pt.EvolutionTrace(times=times, inner_products=vals, max_drift=0.0)
+    buf = io.StringIO()
+    ser.write_trace_csv(buf, trace)
+    want = "t,re_inner,im_inner\n" + "".join(
+        f"{ser.fmt17(t)},{ser.fmt17(z.real)},{ser.fmt17(z.imag)}\n" for t, z in zip(times, vals)
+    )
+    assert buf.getvalue() == want
