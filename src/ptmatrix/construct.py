@@ -13,6 +13,7 @@ from stacked blocks, so a system and a sweep share one construction.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,33 +83,35 @@ def n_rotation_angles(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def rotation_pairs(d: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
-def givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
-    """Plane rotation by theta in the (i, j) coordinate plane."""
-    g = np.eye(d)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g
+@functools.lru_cache(maxsize=None)
+def _triu(m: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, k), computed once per (m, k) and read-only, since
+    every caller shares the cached arrays."""
+    i, j = np.triu_indices(m, k)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def make_rotation(d: int, angles) -> np.ndarray:
     """Orthogonal matrix with det +1: the left-to-right product of Givens
-    rotations over all index pairs i < j in lexicographic order."""
+    rotations, one per index pair i < j in lexicographic order, the k-th
+    acting as [[cos, -sin], [sin, cos]] of angles[k] in its (i, j) plane."""
     ang = np.asarray(angles, dtype=np.float64).ravel()
-    if ang.shape[0] != n_rotation_angles(d):
-        raise ValueError(
-            f"dimension {d} needs {n_rotation_angles(d)} angles, got {ang.shape[0]}"
-        )
+    n = n_rotation_angles(d)
+    if ang.shape[0] != n:
+        raise ValueError(f"dimension {d} needs {n} angles, got {ang.shape[0]}")
+    i, j = _triu(d, 1)
+    k = np.arange(n)
+    c, s = np.cos(ang), np.sin(ang)
+    g = np.tile(np.eye(d), (n, 1, 1))
+    g[k, i, i] = c
+    g[k, j, j] = c
+    g[k, i, j] = -s
+    g[k, j, i] = s
     r = np.eye(d)
-    for (i, j), theta in zip(rotation_pairs(d), ang):
-        r = r @ givens(d, i, j, theta)
+    for gk in g:
+        r = r @ gk
     return r
 
 
@@ -332,7 +335,7 @@ def blocks_from_draws(vals, m_plus: int, m_minus: int) -> BlockForm:
 
     def symmetric(upper: np.ndarray, m: int) -> np.ndarray:
         out = np.zeros(stack + (m, m))
-        i, j = np.triu_indices(m)
+        i, j = _triu(m)
         out[..., i, j] = upper
         out[..., j, i] = upper
         return out
@@ -342,6 +345,20 @@ def blocks_from_draws(vals, m_plus: int, m_minus: int) -> BlockForm:
         b_block=vals[..., na:na + nb].reshape(stack + (m_plus, m_minus)),
         c_block=symmetric(vals[..., na + nb:], m_minus),
     )
+
+
+def block_frame(draws, m_plus: int, m_minus: int) -> np.ndarray:
+    """The real matrix M = S^-1 H0 S = [[A, -B], [B^T, C]], S = diag(I, iI),
+    of the blocks that blocks_from_draws(draws, m_plus, m_minus) gives, or an
+    (N, D, D) stack of them for an (N, k) stack of draws.
+
+    S is unitary, so M has the eigenvalues of H0 = make_h0(blocks), and x is a
+    unit eigenvector of M exactly when Sx is one of H0, with the same residual.
+    """
+    blocks = blocks_from_draws(draws, m_plus, m_minus)
+    a, b, c = blocks.a_block, blocks.b_block, blocks.c_block
+    top = np.concatenate([a, -b], axis=-1)
+    return np.concatenate([top, np.concatenate([b.swapaxes(-1, -2), c], axis=-1)], axis=-2)
 
 
 def random_blocks(rng: np.random.Generator, m_plus: int, m_minus: int) -> BlockForm:

@@ -3,10 +3,11 @@ eigendecomposition of one matrix or of an (N, D, D) stack of them.
 
 Eigenpairs come from LAPACK zgeev (through numpy.linalg.eig, one batched call
 per stack); this module adds a deterministic order, bilinear orthogonalization
-of eigenvalue clusters and a residual check.
+of eigenvalue clusters and a residual check. eig_real is the real-stack
+counterpart (dgeev): eigenvalues and residuals only, unsorted.
 
-Matrices are plain numpy arrays of complex128; everything here is a pure
-function of its inputs.
+Matrices are plain numpy arrays of complex128, apart from eig_real's real
+input; everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -105,6 +106,38 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
             for cols in runs:
                 _bilinear_orthogonalize(v[row], cols)
         res = column_norms(stack @ v - v * w[:, None, :])
+    _check_residuals(res, tol)
+    if a.ndim == 2:
+        return w[0], v[0], res[0]
+    return w, v, res
+
+
+def eig_real(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (N, D) and eigenpair residuals ||m x - w x||_2 (N, D) of a
+    real (N, D, D) stack, for L2-normalized x, from one batched LAPACK dgeev
+    call; unsorted. A real eigenvalue has imaginary part exactly 0, and a
+    non-real one comes with its exact conjugate. A residual above tol raises
+    ConvergenceError, as in eig_arrays."""
+    a = np.asarray(m)
+    if a.ndim != 3 or a.shape[-1] != a.shape[-2] or not np.isrealobj(a):
+        raise ValueError(f"expected a real (N, D, D) stack, got {a.dtype} of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    try:
+        w, x = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"LAPACK dgeev did not converge for dimension {a.shape[-1]}"
+        ) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = column_norms(a @ x - x * w[:, None, :])
+    _check_residuals(res, tol)
+    return w.astype(np.complex128, copy=False), res
+
+
+def _check_residuals(res: np.ndarray, tol: float) -> None:
+    """Raise ConvergenceError unless every residual is at most tol (a NaN
+    residual fails too)."""
     bad = float(res.max()) if res.size else 0.0
     if not bad <= tol:
         raise ConvergenceError(
@@ -112,9 +145,6 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
             "input is ill-conditioned, or large-normed (the bound is "
             "absolute, so scale tol with the matrix norm)"
         )
-    if a.ndim == 2:
-        return w[0], v[0], res[0]
-    return w, v, res
 
 
 def column_norms(a: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import PTSystem, block_draw_count, blocks_from_draws, make_h0, random_pt_system
+from .construct import PTSystem, block_draw_count, block_frame, random_pt_system
 from .errors import BrokenPhaseError, CollinearityError, ExceptionalPointError
-from .linalg import DEFAULT_TOL, column_norms, eig_arrays, multi_clusters
+from .linalg import DEFAULT_TOL, column_norms, eig_arrays, eig_real, multi_clusters
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
 # when eigenvectors coalesce; for the two-level family the value equals
@@ -300,14 +300,29 @@ def find_unbroken_seeds(
 
     The spectrum is rotation-invariant, so seeds are prescreened on the block
     form alone, a block of seeds per stacked eigensolve: 16 seeds first, then
-    twice as many each time up to SCAN_BLOCK_MAX. The seeds whose block form
-    has a real spectrum are then classified one by one, in seed order, and the
-    scan stops at the count-th unbroken one. An eigenpair residual above tol
-    (ConvergenceError) raises for the whole block that holds the failing seed.
+    twice as many each time up to SCAN_BLOCK_MAX. The prescreen solves the
+    real block frame M = [[A, -B], [B^T, C]] of each seed (construct.
+    block_frame), which is unitarily similar to H0 = [[A, iB], [iB^T, C]], so
+    it keeps H0's eigenvalues and eigenpair residuals at real arithmetic's
+    cost. The seeds whose M has a real spectrum are then classified one by
+    one, in seed order, and the scan stops at the count-th unbroken one. An
+    eigenpair residual above tol (ConvergenceError) raises for the whole
+    block that holds the failing seed.
+
+    Raises ValueError, before drawing any seed, for a start_seed, count or
+    max_trials that is not a non-negative integer, a dim below 1, or a
+    signature that has a negative entry or does not sum to dim.
     """
-    if start_seed < 0:
-        raise ValueError(f"start_seed must be a non-negative integer, got {start_seed}")
+    for name, value in (("start_seed", start_seed), ("count", count), ("max_trials", max_trials)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value}")
     m_plus, m_minus = signature
+    if m_plus < 0 or m_minus < 0:
+        raise ValueError(f"signature entries must be non-negative, got {(m_plus, m_minus)}")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if m_plus + m_minus != dim:
+        raise ValueError(f"signature {(m_plus, m_minus)} must sum to dim {dim}")
     k = block_draw_count(m_plus, m_minus)
     found: list[int] = []
     seed, end, size = start_seed, start_seed + max_trials, SCAN_BLOCK_FIRST
@@ -318,7 +333,7 @@ def find_unbroken_seeds(
             )
         seeds = range(seed, min(seed + size, end))
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
-        w, _, _ = eig_arrays(make_h0(blocks_from_draws(draws, m_plus, m_minus)), tol)
+        w, _ = eig_real(block_frame(draws, m_plus, m_minus), tol)
         for s in np.asarray(seeds)[_real_eigenvalues(w, tol).all(axis=1)].tolist():
             if classify_phase(random_pt_system(dim, signature, s), tol).phase is Phase.UNBROKEN:
                 found.append(s)

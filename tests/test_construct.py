@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import ptmatrix as pt
 
+from _seeds import UNBROKEN_SEEDS
+
 SQ2 = np.sqrt(2) / 2
 
 
@@ -39,6 +41,57 @@ def test_rotation_is_special_orthogonal(d, seed):
     r = pt.make_rotation(d, angles)
     assert pt.max_abs(r.T @ r - np.eye(d)) <= 1e-12
     assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+
+
+def givens_product(d, angles):
+    """Reference for make_rotation: the left-to-right product of one Givens
+    matrix per index pair i < j, in lexicographic order."""
+    r = np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for (i, j), theta in zip(pairs, np.asarray(angles, dtype=np.float64)):
+        g = np.eye(d)
+        c, s = np.cos(theta), np.sin(theta)
+        g[i, i], g[j, j], g[i, j], g[j, i] = c, c, -s, s
+        r = r @ g
+    return r
+
+
+@pytest.mark.parametrize("key", sorted(UNBROKEN_SEEDS))
+def test_make_rotation_is_the_givens_product_on_frozen_seeds(key):
+    dim, mp, mm = key
+    for seed in UNBROKEN_SEEDS[key][:5]:
+        rng = np.random.default_rng(seed)
+        pt.construct.random_blocks(rng, mp, mm)
+        angles = pt.construct.random_angles(rng, dim)
+        assert np.array_equal(pt.make_rotation(dim, angles), givens_product(dim, angles))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.floats(-100.0, 100.0), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2),
+)))
+def test_make_rotation_is_the_givens_product(case):
+    d, angles = case
+    assert np.array_equal(pt.make_rotation(d, angles), givens_product(d, angles))
+
+
+def test_cached_index_tables_are_read_only():
+    for table in pt.construct._triu(4, 1):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("mp,mm", [(1, 1), (6, 2), (3, 2), (2, 0), (0, 3)])
+def test_block_frame_is_h0_in_the_real_frame(rng, mp, mm):
+    # S^-1 H0 S with S = diag(I, iI): exact, since S only moves factors of i
+    draws = rng.uniform(-1.0, 1.0, (4, pt.construct.block_draw_count(mp, mm)))
+    h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
+    s = np.diag(np.r_[np.ones(mp), 1j * np.ones(mm)])
+    m = pt.construct.block_frame(draws, mp, mm)
+    assert m.dtype == np.float64
+    np.testing.assert_array_equal(m, (s.conj() @ h0 @ s).real)
+    np.testing.assert_array_equal((s.conj() @ h0 @ s).imag, 0.0)
 
 
 def test_make_parity_two_dim():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmatrix as pt
-from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays
+from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays, eig_real
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -76,8 +76,11 @@ def test_lapack_failure_raises_convergence_error(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eig", fail)
-    with pytest.raises(pt.ConvergenceError, match="dimension 3") as info:
+    with pytest.raises(pt.ConvergenceError, match="zgeev did not converge for dimension 3") as info:
         pt.eig_arrays(np.eye(3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    with pytest.raises(pt.ConvergenceError, match="dgeev did not converge for dimension 3") as info:
+        eig_real(np.eye(3)[None])
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -98,6 +101,21 @@ def test_residual_contract(dim, rng):
 def test_overflowing_residual_is_rejected_without_warning(m, bad):
     with pytest.raises(pt.ConvergenceError, match=f"eigenpair residual {bad} above tolerance"):
         eig_arrays(np.array(m, dtype=complex))
+
+
+def test_eig_real_overflowing_residual_is_rejected_without_warning():
+    m = np.array([[[1.7e308, 1e308], [1e308, 1.7e308]]])  # an eigenvalue is inf
+    with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above tolerance"):
+        eig_real(m)
+
+
+def test_eig_real_rejects_complex_or_unstacked_input():
+    with pytest.raises(ValueError, match="real"):
+        eig_real(np.eye(2, dtype=complex)[None])
+    with pytest.raises(ValueError, match="real"):
+        eig_real(np.eye(2))
+    with pytest.raises(ValueError, match="NaN"):
+        eig_real(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

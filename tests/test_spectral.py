@@ -150,36 +150,94 @@ def test_scan_count_zero_and_real_symmetric_signatures():
     assert pt.find_unbroken_seeds(2, (2, 0), 40) == list(range(40))
 
 
-def test_scan_rejects_negative_start_seed_before_drawing(monkeypatch):
-    def no_draws(*args):
+@pytest.fixture
+def no_draws(monkeypatch):
+    def fail(*args):
         raise AssertionError("drew a seed")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", fail)
+
+
+def test_scan_rejects_negative_start_seed_before_drawing(no_draws):
     with pytest.raises(ValueError, match="start_seed must be a non-negative integer, got -1"):
         pt.find_unbroken_seeds(3, (2, 1), 1, start_seed=-1)
 
 
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((9, (6, 2), 1), {}, r"signature \(6, 2\) must sum to dim 9"),
+    ((3, (-1, 4), 1), {}, r"signature entries must be non-negative, got \(-1, 4\)"),
+    ((0, (0, 0), 1), {}, "dim must be at least 1, got 0"),
+    ((8, (6, 2), -2), {}, "count must be a non-negative integer, got -2"),
+    ((8, (6, 2), 1), {"max_trials": -5}, "max_trials must be a non-negative integer, got -5"),
+    # a fractional count never equals len(found), so the scan kept a whole block
+    ((3, (2, 1), 1.5), {}, "count must be a non-negative integer, got 1.5"),
+    ((3, (2, 1), 1), {"max_trials": 40.5}, "max_trials must be a non-negative integer, got 40.5"),
+], ids=["signature-sum", "signature-sign", "dim", "count", "max_trials", "count-fraction",
+        "max_trials-fraction"])
+def test_scan_rejects_bad_arguments_before_drawing(no_draws, args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        pt.find_unbroken_seeds(*args, **kwargs)
+
+
 def test_scan_prescreens_each_block_with_one_eigensolve(monkeypatch):
-    rows = []
-    original = pt.spectral.eig_arrays
+    rows, classified = [], []
+    original, original_eig_arrays = pt.spectral.eig_real, pt.spectral.eig_arrays
 
     def counted(m, tol):
         rows.append(m.shape[0])
         return original(m, tol)
 
-    monkeypatch.setattr(pt.spectral, "eig_arrays", counted)
+    def counted_eig_arrays(m, tol):
+        classified.append(m.shape[0])
+        return original_eig_arrays(m, tol)
+
+    monkeypatch.setattr(pt.spectral, "eig_real", counted)
+    monkeypatch.setattr(pt.spectral, "eig_arrays", counted_eig_arrays)
     want = UNBROKEN_SEEDS[(5, 3, 2)]
     assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
-    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; every other solve
-    # is classify_phase of one prescreened candidate
-    prescreens = [n for n in rows if n > 1]
-    assert prescreens == [16, 32, 64, 128, 256] + [512] * 12
-    assert len(rows) - len(prescreens) >= len(want)
+    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; the complex
+    # eigensolver runs only in classify_phase, one prescreened candidate at a time
+    assert rows == [16, 32, 64, 128, 256] + [512] * 12
+    assert len(classified) >= len(want) and set(classified) == {1}
     # a cut block stops at max_trials
     rows.clear()
     with pytest.raises(RuntimeError):
         pt.find_unbroken_seeds(5, (3, 2), 1, max_trials=40)
-    assert [n for n in rows if n > 1] == [16, 24]
+    assert rows == [16, 24]
+
+
+@pytest.mark.parametrize("mp,mm", [(6, 2), (4, 4), (5, 3), (7, 1)])
+def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
+    tol = pt.DEFAULT_TOL
+    k = pt.construct.block_draw_count(mp, mm)
+    # (6,2) has no real-spectrum seed below 4096: the frozen unbroken seeds add some
+    frozen = UNBROKEN_SEEDS.get((mp + mm, mp, mm), [])
+    seeds = [*range(4096), *frozen]
+    draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
+    w, res = pt.linalg.eig_real(pt.construct.block_frame(draws, mp, mm), tol)
+    h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
+    wc, _, resc = pt.eig_arrays(h0, tol)
+    real = pt.spectral._real_eigenvalues
+    mask = real(w, tol).all(axis=1)
+    np.testing.assert_array_equal(mask, real(wc, tol).all(axis=1))
+    assert mask[4096:].all()
+    # pair each eigenvalue with its nearest one of H0: round-off decides the
+    # (Re, Im) order of H0's conjugate pairs, and M's come unsorted
+    dist = np.abs(w[:, :, None] - wc[:, None, :])
+    near = dist.argmin(axis=2)
+    assert dist.min(axis=2).max() <= 1e-10
+    np.testing.assert_array_equal(np.sort(near, axis=1), np.broadcast_to(np.arange(mp + mm), near.shape))
+    assert np.abs(res - np.take_along_axis(resc, near, axis=1)).max() <= 1e-13
+
+
+def test_scan_prescreen_keeps_the_residual_bound():
+    # block entries of about 1e7 put the residuals near 1e-9, above the absolute tol
+    draws = 1e7 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, pt.construct.block_draw_count(6, 2)))
+    with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-10"):
+        pt.linalg.eig_real(pt.construct.block_frame(draws, 6, 2), 1e-10)
+    # in a scan, the failing prescreen raises for the whole block
+    with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-18"):
+        pt.find_unbroken_seeds(8, (6, 2), 1, tol=1e-18)
 
 
 def test_pt_norm_signature_two_level():

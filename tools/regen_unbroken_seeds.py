@@ -6,8 +6,9 @@ Unbroken systems can be rare (the frozen lists hold 50 unbroken seeds in
 2.5e-2, at D=6, signature (5,1)), so the test suite uses seed lists found
 here once instead of rejection-sampling at run time. Every frozen seed
 is re-verified by the tests; this script only does the scanning, which takes
-about 36 s (35.9 s wall on a 2-CPU x86-64 Linux VM with one OpenBLAS thread,
-about 10 400 seeds/s), nearly all of it the (8,6,2) scan up to seed 357555.
+about 9 s (8.4-8.8 s wall on a 2-CPU x86-64 Linux VM with one OpenBLAS
+thread, about 40 000 seeds/s; about twice as long on a loaded VM), nearly
+all of it the (8,6,2) scan up to seed 357555.
 It prints the seeds scanned per second for each signature.
 
 Run from the repository root:  python tools/regen_unbroken_seeds.py
