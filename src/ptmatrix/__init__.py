@@ -43,12 +43,7 @@ from .construct import (
     random_pt_system,
 )
 from .dynamics import EvolutionTrace, NonunitarityResult, evolve, nonunitarity_demo, unitarity_trace
-from .errors import (
-    BrokenPhaseError,
-    CollinearityError,
-    ConvergenceError,
-    ExceptionalPointError,
-)
+from .errors import BrokenPhaseError, ConvergenceError, ExceptionalPointError
 from .linalg import (
     DEFAULT_TOL,
     eig_arrays,
@@ -57,7 +52,6 @@ from .linalg import (
     is_real,
     is_symmetric,
     mat_exp_times,
-    mat_mul,
     max_abs,
 )
 from .spectral import (
@@ -67,7 +61,6 @@ from .spectral import (
     classify_phase,
     classify_stack,
     find_unbroken_seeds,
-    fix_pt_phase,
     pt_apply,
     pt_norm_signature,
 )
@@ -76,7 +69,6 @@ __all__ = [
     "__version__",
     "BlockForm",
     "BrokenPhaseError",
-    "CollinearityError",
     "ConvergenceError",
     "DEFAULT_TOL",
     "EvolutionTrace",
@@ -105,7 +97,6 @@ __all__ = [
     "eig_arrays",
     "evolve",
     "find_unbroken_seeds",
-    "fix_pt_phase",
     "h2",
     "is_hermitian",
     "is_orthogonal",
@@ -117,7 +108,6 @@ __all__ = [
     "make_pt_system",
     "make_rotation",
     "mat_exp_times",
-    "mat_mul",
     "max_abs",
     "max_signature",
     "nonunitarity_demo",

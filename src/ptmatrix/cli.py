@@ -30,12 +30,7 @@ from .construct import (
     random_pt_system,
 )
 from .dynamics import nonunitarity_demo, unitarity_trace
-from .errors import (
-    BrokenPhaseError,
-    CollinearityError,
-    ConvergenceError,
-    ExceptionalPointError,
-)
+from .errors import BrokenPhaseError, ConvergenceError, ExceptionalPointError
 from .linalg import DEFAULT_TOL, is_symmetric, max_abs
 from .serialize import (
     block_form_from_obj,
@@ -63,8 +58,7 @@ DRIFT_FLAG_THRESHOLD = 1e-6
 # Python work is gone, small enough that memory does not grow with the grid
 SWEEP_BLOCK = 512
 # what a grid point can raise; main maps each to its exit code
-_POINT_ERRORS = (ValueError, ConvergenceError, ExceptionalPointError, BrokenPhaseError,
-                 CollinearityError)
+_POINT_ERRORS = (ValueError, ConvergenceError, ExceptionalPointError, BrokenPhaseError)
 
 
 class UsageError(Exception):
@@ -90,7 +84,9 @@ def _tol(text: str) -> float:
     x = float(text)  # argparse reports a non-number
     if not (math.isfinite(x) and x > 0.0):
         raise UsageError(f"--tol must be finite and positive, got {text}")
-    # |Im w| <= |w| always, so at tol >= 1 every eigenvalue would count as real
+    # tol is also the smallest PT norm |v^T v| that C accepts, at most 1 for
+    # a unit v and below 1 once v mixes P's eigenspaces: tol >= 1 rejects
+    # almost every C
     if x >= 1.0:
         raise UsageError(f"--tol must be below 1, got {text}")
     return x
@@ -421,7 +417,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, ExceptionalPointError, BrokenPhaseError, CollinearityError) as exc:
+    except (ConvergenceError, ExceptionalPointError, BrokenPhaseError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

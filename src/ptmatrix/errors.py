@@ -11,7 +11,3 @@ class ExceptionalPointError(RuntimeError):
 
 class BrokenPhaseError(RuntimeError):
     """Operation requires the unbroken PT phase."""
-
-
-class CollinearityError(RuntimeError):
-    """Vector is not an eigenvector of the PT operation up to a phase."""

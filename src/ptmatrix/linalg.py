@@ -1,10 +1,13 @@
-"""Dense complex matrix helpers and a general (non-Hermitian, non-symmetric)
-eigendecomposition of one matrix or of an (N, D, D) stack of them.
+"""Dense complex matrix helpers and general (non-Hermitian, non-symmetric)
+eigendecompositions of one matrix or of an (N, D, D) stack of them.
 
-Eigenpairs come from LAPACK zgeev (through numpy.linalg.eig, one batched call
-per stack); this module adds a deterministic order, bilinear orthogonalization
-of eigenvalue clusters and a residual check. eig_real is the real-stack
-counterpart (dgeev): eigenvalues and residuals only, unsorted.
+eig_arrays solves complex matrices with LAPACK zgeev and eig_real real stacks
+with dgeev, each through one batched numpy.linalg.eig call per stack; both
+sort the eigenpairs by (Re, Im) and check their residuals, and eig_arrays
+also orthogonalizes eigenvalue clusters under the bilinear product. dgeev
+returns a real eigenvalue with an imaginary part of exactly 0, so real_mask,
+the one test of which eigenvalues count as real, is structural up to a
+cluster gap.
 
 Matrices are plain numpy arrays of complex128, apart from eig_real's real
 input; everything here is a pure function of its inputs.
@@ -59,15 +62,6 @@ def is_orthogonal(m, tol: float = DEFAULT_TOL) -> bool:
     return max_abs(a.T @ a - np.eye(a.shape[0])) <= tol
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape[0]} vs {bm.shape[0]}")
-    return am @ bm
-
-
 def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, L2-normalized eigenvector columns and their residuals
     ||m v - w v||_2; sorted by (Re, Im). A residual above tol raises
@@ -90,15 +84,9 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
         raise ValueError("matrix contains NaN or Inf entries")
 
     try:
-        w, v = np.linalg.eig(stack)
+        w, v = _sorted_pairs(*np.linalg.eig(stack))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK zgeev did not converge for dimension {n}") from exc
-
-    order = np.lexsort((w.imag, w.real), axis=-1)
-    rows = np.arange(w.shape[0])[:, None]
-    w = w[rows, order]
-    # sorting the rows of each V^T: every V stays column-major, as LAPACK gives it
-    v = v.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
 
     # norms overflow near the float limit; a non-finite residual fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
@@ -112,19 +100,21 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
     return w, v, res
 
 
-def eig_real(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (N, D) and eigenpair residuals ||m x - w x||_2 (N, D) of a
-    real (N, D, D) stack, for L2-normalized x, from one batched LAPACK dgeev
-    call; unsorted. A real eigenvalue has imaginary part exactly 0, and a
-    non-real one comes with its exact conjugate. A residual above tol raises
-    ConvergenceError, as in eig_arrays."""
+def eig_real(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w (N, D), L2-normalized eigenvector columns x (N, D, D) and
+    their residuals ||m x - w x||_2 (N, D) of a real (N, D, D) stack, from one
+    batched LAPACK dgeev call, sorted by (Re, Im). A real eigenvalue has
+    imaginary part exactly 0 and a real eigenvector; a non-real one comes
+    right after its exact conjugate, with bit-identical real part and the
+    conjugate eigenvector. A residual above tol raises ConvergenceError, as
+    in eig_arrays."""
     a = np.asarray(m)
     if a.ndim != 3 or a.shape[-1] != a.shape[-2] or not np.isrealobj(a):
         raise ValueError(f"expected a real (N, D, D) stack, got {a.dtype} of shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     try:
-        w, x = np.linalg.eig(a)
+        w, x = _sorted_pairs(*np.linalg.eig(a))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"LAPACK dgeev did not converge for dimension {a.shape[-1]}"
@@ -132,7 +122,28 @@ def eig_real(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         res = column_norms(a @ x - x * w[:, None, :])
     _check_residuals(res, tol)
-    return w.astype(np.complex128, copy=False), res
+    return w.astype(np.complex128, copy=False), x, res
+
+
+def _sorted_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (N, D) and eigenvector columns (N, D, D) of a stack, each
+    row sorted by (Re, Im)."""
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    rows = np.arange(w.shape[0])[:, None]
+    # sorting the rows of each V^T: every V stays column-major, as LAPACK gives it
+    return w[rows, order], v.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
+
+
+def real_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Which eigenvalues w (N, D) of a real (N, D, D) stack m count as real:
+    those in one cluster with their conjugate, 2|Im w| <= CLUSTER_REL_GAP *
+    ||m||_F, the gap of multi_clusters.
+
+    dgeev returns a real eigenvalue with an imaginary part of exactly 0, so
+    the test is structural; the gap admits only a (near-)degenerate real
+    eigenvalue that round-off split into a 2x2 Schur block of a tiny pair.
+    """
+    return 2.0 * np.abs(w.imag) <= CLUSTER_REL_GAP * frobenius_norms(m)[:, None]
 
 
 def _check_residuals(res: np.ndarray, tol: float) -> None:
@@ -153,6 +164,11 @@ def column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2))
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||m||_F of each matrix of an (N, D, D) stack."""
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(-2, -1)))
+
+
 def clusters(w: np.ndarray, m: np.ndarray) -> list[range]:
     """Index runs of sorted eigenvalues w whose neighbours lie within
     CLUSTER_REL_GAP * ||m||_F of each other."""
@@ -171,7 +187,7 @@ def multi_clusters(w: np.ndarray, stack: np.ndarray) -> dict[int, list[range]]:
     numpy's complex abs and stacked norm, picks the candidate rows; the exact
     walk of clusters decides each of them.
     """
-    gap = CLUSTER_REL_GAP * np.sqrt(np.add.reduce(column_norms(stack) ** 2, axis=-1))
+    gap = CLUSTER_REL_GAP * frobenius_norms(stack)
     near = (np.abs(w[:, 1:] - w[:, :-1]) <= gap[:, None] * (1.0 + 1e-9)).any(axis=1)
     found = {}
     for row in near.nonzero()[0].tolist():
@@ -181,14 +197,16 @@ def multi_clusters(w: np.ndarray, stack: np.ndarray) -> dict[int, list[range]]:
     return found
 
 
-def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> None:
-    """Modified Gram-Schmidt under v^T v on one eigenvalue cluster, in place.
+def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> bool:
+    """Modified Gram-Schmidt under v^T v on one eigenvalue cluster, in place;
+    False when a column collapsed.
 
     Isotropic pivots (|v^T v| below floor) are skipped, and a column that
     collapses under projection (numerically dependent cluster: a defective
-    input) is reverted; callers that care detect both situations via the
-    exceptional-point checks downstream.
+    input) is reverted. An isotropic column is left for the caller's
+    exceptional-point check to find.
     """
+    kept = True
     for j in cols[1:]:
         candidate = v[:, j].copy()
         for i in range(cols.start, j):
@@ -199,6 +217,9 @@ def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> None:
         norm = np.linalg.norm(candidate)
         if norm > 1e-8:
             v[:, j] = candidate / norm
+        else:
+            kept = False
+    return kept
 
 
 def diagonalize(m, tol: float = DEFAULT_TOL,

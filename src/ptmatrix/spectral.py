@@ -1,9 +1,15 @@
-"""PT-phase classification, eigenvector phase fixing, and PT-norm signatures.
+"""PT-phase classification and PT-norm signatures in the real Krein frame.
 
-The PT operation sends v to P conj(v). In the unbroken phase every
-eigenvector can be rescaled by a unit phase so that it is a fixed point of
-that operation; the bilinear self-product of the fixed vector is then real
-and its sign is the vector's PT norm sign.
+The PT operation sends v to P conj(v). P is a real symmetric involution, so
+P = Q J Q^T with Q real orthogonal and J diagonal with entries +-1. With S
+diagonal, 1 on J's +1 entries and i on its -1 entries, a PT-symmetric
+complex symmetric H has a real matrix M = (QS)^H H (QS), and JM is symmetric:
+M is self-adjoint in the Krein space (R^D, J) (Mostafazadeh, J. Math. Phys.
+43 205, 2002). One real eigensolve of M decides the phase by its structure,
+since LAPACK dgeev returns a real eigenvalue with a real eigenvector x and
+the others in exact conjugate pairs. v = QSx is then an eigenvector of H
+that the PT operation fixes (J conj(S) = S), and v^T v = x^T J x is real; its
+sign is v's PT norm sign.
 """
 
 from __future__ import annotations
@@ -13,9 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import PTSystem, block_draw_count, block_frame, random_pt_system
-from .errors import BrokenPhaseError, CollinearityError, ExceptionalPointError
-from .linalg import DEFAULT_TOL, column_norms, eig_arrays, eig_real, multi_clusters
+from .construct import (
+    PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame, random_pt_system,
+)
+from .errors import BrokenPhaseError, ExceptionalPointError
+from .linalg import (
+    DEFAULT_TOL, _bilinear_orthogonalize, column_norms, eig_real, multi_clusters, real_mask,
+)
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
 # when eigenvectors coalesce; for the two-level family the value equals
@@ -38,8 +48,8 @@ class Phase(enum.Enum):
 @dataclass(frozen=True)
 class SpectralData:
     """One row of a PhaseStack: eigenvalues w (D,), eigenvector columns v
-    (D, D), PT-phase-fixed when unbroken, and their residuals (D,), plus the
-    phase verdict and (unbroken only) the PT-norm signs."""
+    (D, D), PT-fixed when unbroken, and their residuals (D,), plus the phase
+    verdict and (unbroken only) the PT-norm signs."""
 
     w: np.ndarray
     v: np.ndarray
@@ -59,85 +69,14 @@ def pt_apply(v, p) -> np.ndarray:
     return pm @ vec.conj()
 
 
-def _fix_columns(v: np.ndarray, p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """fix_pt_phase applied to every column of an (N, D, K) stack of vectors,
-    with an (N, D, D) stack of parities or one (D, D) parity; returns the
-    fixed stack and the (N, K) PT-collinearity residuals. Columns whose
-    residual exceeds tol are returned rescaled all the same; the caller
-    decides what a miss means."""
-    pv = p @ v.conj()
-    nv2 = np.einsum("nik,nik->nk", v.conj(), v).real
-    if (nv2 <= 0.0).any():
-        raise ValueError("zero vector")
-    theta = np.angle(np.einsum("nik,nik->nk", v.conj(), pv) / nv2)
-    resid = column_norms(pv - np.exp(1j * theta)[:, None, :] * v) / np.sqrt(nv2)
-    out = np.exp(1j * theta / 2.0)[:, None, :] * v
-    # the leftover sign: the largest-magnitude entry gets nonnegative real part
-    n, _, k = out.shape
-    top = out[np.arange(n)[:, None], np.abs(out).argmax(axis=1), np.arange(k)]
-    return np.where(top.real[:, None, :] < 0.0, -out, out), resid
-
-
-def fix_pt_phase(v, p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Rescale v by a unit phase so the PT operation fixes it.
-
-    The leftover sign freedom is resolved by making the largest-magnitude
-    entry have nonnegative real part. Raises CollinearityError when P conj(v)
-    is not a phase times v.
-    """
-    vec = np.asarray(v, dtype=np.complex128)
-    pm = np.asarray(p, dtype=np.complex128)
-    if vec.ndim != 1 or pm.shape != (vec.shape[0], vec.shape[0]):
-        raise ValueError("vector and parity dimensions do not match")
-    out, resid = _fix_columns(vec[None, :, None], pm[None], tol)
-    if resid[0, 0] > tol:
-        raise CollinearityError(
-            f"vector is not PT-collinear (residual {resid[0, 0]:.3e}); broken "
-            "symmetry or degeneracy"
-        )
-    return out[0, :, 0]
-
-
-def _pt_fix_cluster(v: np.ndarray, cols: range, p: np.ndarray, tol: float) -> None:
-    """Phase-fix a degenerate cluster in place.
-
-    Each vector is first projected onto the PT-fixed real form (u + PTu, or
-    i(u - PTu) when that vanishes), then the cluster is re-orthogonalized
-    under the bilinear product, which has real coefficients on PT-fixed
-    vectors and therefore preserves PT-fixedness.
-    """
-    for k in cols:
-        u = v[:, k]
-        pu = pt_apply(u, p)
-        w1 = u + pu
-        w2 = 1j * (u - pu)
-        w = w1 if np.linalg.norm(w1) >= np.linalg.norm(w2) else w2
-        nw = np.linalg.norm(w)
-        if nw < 1e-8:
-            raise CollinearityError("degenerate cluster has no PT-fixed basis")
-        v[:, k] = w / nw
-    for j in cols:
-        for i in cols:
-            if i >= j:
-                break
-            den = v[:, i] @ v[:, i]
-            if abs(den) <= EP_ISOTROPY_TOL:
-                raise CollinearityError("isotropic vector inside degenerate cluster")
-            v[:, j] = v[:, j] - ((v[:, i] @ v[:, j]) / den) * v[:, i]
-        norm = np.linalg.norm(v[:, j])
-        if norm < 1e-8:
-            raise CollinearityError("degenerate cluster collapsed under orthogonalization")
-        v[:, j] = v[:, j] / norm
-        v[:, j] = fix_pt_phase(v[:, j], p, tol)
-
-
 @dataclass(frozen=True)
 class PhaseStack:
     """Classification of an (N, D, D) stack of systems, one row per system.
 
-    w, v and residuals are the eig_arrays stack, with the eigenvectors of
-    unbroken rows PT-phase-fixed; signs holds the PT-norm signs of unbroken
-    rows and 0 elsewhere.
+    w (N, D) is sorted by (Re, Im), v (N, D, D) holds unit eigenvector
+    columns, PT-fixed in unbroken rows, and residuals (N, D) their eigenpair
+    residuals; signs holds the PT-norm signs of unbroken rows and 0
+    elsewhere.
     """
 
     w: np.ndarray
@@ -165,10 +104,11 @@ class PhaseStack:
 def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     """Unbroken, broken, or exceptional, with the spectrum and norm signs.
 
-    Unbroken: all eigenvalues real (relative threshold tol) and every
-    eigenvector phase-fixable. Broken: the non-real eigenvalues pair into
-    conjugates. Exceptional: an eigenvector is numerically isotropic
-    (|v^T v| below threshold with unit L2 norm) or phase fixing fails.
+    Exceptional: an eigenvector is numerically isotropic (|v^T v| below
+    EP_ISOTROPY_TOL with unit L2 norm), or an eigenvalue cluster has no
+    basis of eigenvectors. Broken: otherwise, when an eigenvalue is not real
+    (linalg.real_mask). Unbroken: all other systems; their eigenvectors are
+    PT-fixed. tol bounds the eigenpair residuals; see classify_stack.
     """
     return classify_stack(sys.h[None], sys.p[None], tol).row(0)
 
@@ -177,11 +117,18 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     """classify_phase of every (h[n], p[n]) of two (N, D, D) stacks at once;
     one (D, D) p serves every row of h.
 
-    The pairs are taken as given (see construct.check_pt_pairs). One batched
-    eigensolve serves the stack; Python runs per row only to pair the
-    conjugates of broken rows and to phase-fix rows holding an eigenvalue
-    cluster. A failure in any row (ConvergenceError, or ValueError for
-    unpaired conjugates) raises for the whole stack.
+    Each row is solved in its real Krein frame M = (QS)^H h (QS) (see the
+    module docstring), one batched dgeev call for the stack, and v = QSx.
+    Python runs per row only to orthogonalize eigenvalue clusters under
+    v^T v. The exceptional-point test |v^T v| < EP_ISOTROPY_TOL runs on the
+    orthogonalized vectors, which are dgeev's own outside clusters. The
+    reported residuals are those of h's eigenpairs (w, v); tol bounds those
+    of M, which equal them up to round-off, as QS is unitary.
+
+    The pairs are taken as given (see construct.check_pt_pairs). A failure in
+    any row raises for the whole stack: ValueError for a non-finite entry or
+    a row whose M is not real, and ConvergenceError for a residual of M above
+    tol.
     """
     hs = np.asarray(h, dtype=np.complex128)
     ps = np.asarray(p, dtype=np.complex128)
@@ -190,91 +137,82 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
             "expected an (N, D, D) stack with D >= 1 and a (D, D) parity or a stack of "
             f"the same shape, got {hs.shape} and {ps.shape}"
         )
-    w, v, res = eig_arrays(hs, tol)
+    if not np.isfinite(hs).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    m, qs = _krein_frame(hs, ps)
+    w, x, _ = eig_real(m, tol)
     n, d = w.shape
 
-    iso = np.abs(np.einsum("nik,nik->nk", v, v))
-    exceptional = iso.min(axis=1) < EP_ISOTROPY_TOL
-    real_mask = _real_eigenvalues(w, tol)
-    broken = ~exceptional & ~real_mask.all(axis=1)
-    conjugate_pairs = np.zeros(n, dtype=np.int64)
-    if broken.any():
-        for row, values, real in zip(
-            broken.nonzero()[0].tolist(), w[broken].tolist(), real_mask[broken].tolist()
-        ):
-            conjugate_pairs[row] = _match_conjugates([z for z, r in zip(values, real) if not r], tol)
+    real = real_mask(w, m)
+    broken = ~real.all(axis=1)
+    raw = qs @ x
+    v = raw.copy()
+    # a real eigenvalue has a real x; a pair (w, conj w) counted as real
+    # spans Re x and Im x, taken from its -Im and +Im column
+    pair = (w.imag != 0.0) & ~broken[:, None]
+    if pair.any():
+        basis = np.where(w.imag[:, None, :] > 0.0, x.imag, x.real)
+        v = np.where(pair[:, None, :], qs @ (basis / column_norms(basis)[:, None, :]), v)
+    exceptional = np.zeros(n, dtype=bool)
+    for row, runs in multi_clusters(w, m).items():
+        kept = [_bilinear_orthogonalize(v[row], cols) for cols in runs]
+        exceptional[row] = not all(kept)
 
-    # singleton columns of every row are fixed at once; the result is kept in
-    # the rows that are neither broken, exceptional, nor holding a cluster
-    runs = multi_clusters(w, hs)
-    single = ~exceptional & ~broken
-    single[list(runs)] = False
-    fixed, resid = _fix_columns(v, ps, tol)
-    collinear = ~(resid > tol).any(axis=1)
-    v = np.where((single & collinear)[:, None, None], fixed, v)
-    exceptional |= single & ~collinear
-    for row, cols_list in runs.items():
-        if exceptional[row] or broken[row]:
-            continue
-        pr = ps[row] if ps.ndim == 3 else ps
-        try:
-            for cols in cols_list:
-                if len(cols) == 1:
-                    v[row, :, cols.start] = fix_pt_phase(v[row, :, cols.start], pr, tol)
-                else:
-                    _pt_fix_cluster(v[row], cols, pr, tol)
-        except CollinearityError:
-            exceptional[row] = True
-        # mixing a cluster's vectors moves their residuals; a phase does not
-        res[row] = column_norms(hs[row] @ v[row] - v[row] * w[row])
-
+    # v^T v = x^T J x: real for a PT-fixed v, and 1/kappa of its eigenvalue
+    norms = np.einsum("nik,nik->nk", v, v)
+    exceptional |= (np.abs(norms) < EP_ISOTROPY_TOL).any(axis=1)
+    broken &= ~exceptional
     unbroken = ~exceptional & ~broken
+    # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
+    # Re x and Im x of a pair span a Jordan chain, not eigenvectors
+    v[exceptional] = raw[exceptional]
+    # the leftover sign: the largest-magnitude entry gets a positive real
+    # part, or a positive imaginary part when its real part is 0
+    top = v[np.arange(n)[:, None], np.abs(v).argmax(axis=1), np.arange(d)]
+    v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
     phases = [
         Phase.UNBROKEN if u else Phase.BROKEN if b else Phase.EXCEPTIONAL
         for u, b in zip(unbroken.tolist(), broken.tolist())
     ]
-    signs = np.where(np.einsum("nik,nik->nk", v, v).real > 0.0, 1, -1)
     return PhaseStack(
         w=w,
         v=v,
-        residuals=res,
+        residuals=column_norms(hs @ v - v * w[:, None, :]),
         phases=phases,
-        real_count=np.where(broken, real_mask.sum(axis=1), np.where(unbroken, d, 0)),
-        conjugate_pairs=conjugate_pairs,
-        signs=np.where(unbroken[:, None], signs, 0),
+        real_count=np.where(broken, real.sum(axis=1), np.where(unbroken, d, 0)),
+        conjugate_pairs=np.where(broken, (~real).sum(axis=1) // 2, 0),
+        signs=np.where(unbroken[:, None], np.where(norms.real > 0.0, 1, -1), 0),
     )
 
 
-def _real_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of eigenvalues whose imaginary part is within tol * max(1, |w|)."""
-    return np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))
+def _krein_frame(h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, QS) of an (N, D, D) stack h and one (D, D) parity p or a stack of
+    them: P = Q J Q^T from eigh, S = 1 on J's +1 entries and i on its -1
+    entries, and M = (QS)^H h (QS), returned real.
 
-
-def _match_conjugates(values: list[complex], tol: float) -> int:
-    """Greedily pair each non-real eigenvalue with its conjugate partner."""
-    left = list(range(len(values)))
-    pairs = 0
-    while left:
-        i = left.pop(0)
-        target = values[i].conjugate()
-        scale = max(1.0, abs(values[i]))
-        best, best_d = None, np.inf
-        for j in left:
-            d = abs(values[j] - target)
-            if d < best_d:
-                best, best_d = j, d
-        if best is None or best_d > 10.0 * tol * scale:
-            raise ValueError(
-                "non-real eigenvalues do not pair into conjugates; input is "
-                "not PT-symmetric or the tolerance is too tight"
-            )
-        left.remove(best)
-        pairs += 1
-    return pairs
+    max|Im M| is half the largest entry of Q^T (P conj(h) P - h) Q, so it is
+    at most D/2 times the residual that check_pt_pairs bounds by
+    PT_COMMUTATION_TOL; forming M adds a round-off of about eps * max|h|.
+    Raises ValueError when some row has max|Im M| above D *
+    PT_COMMUTATION_TOL * max(1, max|h|), naming the worst row's residue.
+    """
+    lam, q = np.linalg.eigh(p.real)
+    qs = q * np.where(lam > 0.0, 1.0, 1j)[..., None, :]
+    m = qs.conj().swapaxes(-1, -2) @ h @ qs
+    bound = h.shape[-1] * PT_COMMUTATION_TOL * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    excess = np.abs(m.imag).max(axis=(1, 2)) / bound
+    worst = int(excess.argmax())
+    if excess[worst] > 1.0:
+        raise ValueError(
+            "H is not PT-symmetric for this P: its real Krein frame has an imaginary "
+            f"residue {excess[worst] * bound[worst]:.3e} > {bound[worst]:.3e} "
+            "(D * PT_COMMUTATION_TOL * max(1, max|H|))"
+        )
+    return m.real, qs
 
 
 def pt_norm_signature(sys: PTSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Signs of the PT self-products of the phase-fixed eigenvectors.
+    """Signs of the PT self-products of the PT-fixed eigenvectors.
 
     The multiset equals the parity's eigenvalue signs; the order along the
     spectrum depends on the parameters and is not guaranteed.
@@ -304,8 +242,8 @@ def find_unbroken_seeds(
     real block frame M = [[A, -B], [B^T, C]] of each seed (construct.
     block_frame), which is unitarily similar to H0 = [[A, iB], [iB^T, C]], so
     it keeps H0's eigenvalues and eigenpair residuals at real arithmetic's
-    cost. The seeds whose M has a real spectrum are then classified one by
-    one, in seed order, and the scan stops at the count-th unbroken one. An
+    cost. The seeds whose M has a real spectrum (linalg.real_mask, the test
+    classify_phase applies) are then classified one by one, in seed order, and the scan stops at the count-th unbroken one. An
     eigenpair residual above tol (ConvergenceError) raises for the whole
     block that holds the failing seed.
 
@@ -333,8 +271,9 @@ def find_unbroken_seeds(
             )
         seeds = range(seed, min(seed + size, end))
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
-        w, _ = eig_real(block_frame(draws, m_plus, m_minus), tol)
-        for s in np.asarray(seeds)[_real_eigenvalues(w, tol).all(axis=1)].tolist():
+        frames = block_frame(draws, m_plus, m_minus)
+        w, _, _ = eig_real(frames, tol)
+        for s in np.asarray(seeds)[real_mask(w, frames).all(axis=1)].tolist():
             if classify_phase(random_pt_system(dim, signature, s), tol).phase is Phase.UNBROKEN:
                 found.append(s)
                 if len(found) == count:

@@ -404,12 +404,12 @@ def test_sweep_grid_past_the_float_range_is_silent(tmp_path, capsys):
 
 
 def test_two_level_sweep_overflow_is_silent(capsys):
-    # near 1e300 the eigenvector and cluster norms overflow; the residual
-    # bound rejects the block, and no RuntimeWarning is printed before it
+    # near 1e300 the residual norms overflow; the residual bound rejects the
+    # block, and no RuntimeWarning is printed before it
     argv = ["sweep", "--t", "1", "--param", "s", "--lo", "0", "--hi", "1e300", "--step", "1e298"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: eigenpair residual 1.000e+00 above tolerance")
+    assert err.startswith("numerical failure: eigenpair residual inf above tolerance")
     assert err.count("\n") == 1
 
 
@@ -429,40 +429,38 @@ def test_sweep_rows_match_fmt17_rows():
 
 
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):
-    # the block holds an unpaired-conjugates point (input error) before a
-    # residual failure (numerical); the earlier point decides, as it would
-    # in a point-by-point sweep, though the stacked solve meets the later first.
-    # Both crafted pairs pass check_pt_pairs, whose products are exact for
-    # these permutation parities. near_ep is a conjugate pair 0.01 from its
-    # exceptional point plus an anti-PT term of 4e-11 (commutation residual
-    # 8e-11), which splits the pair's conjugates by 8e-9, past the pairing
-    # tolerance of 1e-9
+    # the block holds two residual failures; the earlier point decides, as it
+    # would in a point-by-point sweep, though the stacked solve names the
+    # larger residual, the later point's. Both crafted pairs pass
+    # check_pt_pairs, whose products are exact for this diagonal parity
     base = unbroken_system(3, 2, 1, 0)
-    y = np.sqrt(1.0001)
-    near_ep = np.array([[4e-11 + 1j * y, 1, 0], [1, -4e-11 - 1j * y, 0], [0, 0, 5]])
-    swap = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    big = 1e12 * np.array([[1, 0, 0.5j], [0, 2, 0], [0.5j, 0, 3]])
+    form = np.array([[1, 0, 0.5j], [0, 2, 0], [0.5j, 0, 3]])
+    parity = np.diag([1.0, 1, -1])
+    scales = {0.25: 1e9, 0.75: 1e12}  # residuals near 1e-7 and 1e-4
     original = pt.pt_matrices
 
     def crafted(blocks, spec):
         h, p = original(blocks, spec)
         p = np.broadcast_to(p, h.shape).copy()
         for n, x in enumerate(blocks.b_block[:, 0, 0]):
-            if x == 0.25:
-                h[n], p[n] = near_ep, swap
-            if x == 0.75:
-                h[n], p[n] = big, np.diag([1.0, 1, -1])
+            if x in scales:
+                h[n], p[n] = scales[x] * form, parity
         return h, p
 
+    def failure(*keys):
+        with pytest.raises(pt.ConvergenceError) as exc:
+            pt.classify_stack(np.stack([scales[x] * form for x in keys]), parity)
+        return f"numerical failure: {exc.value}\n"
+
+    assert failure(0.25) != failure(0.25, 0.75) == failure(0.75)
     monkeypatch.setattr("ptmatrix.cli.pt_matrices", crafted)
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(base))
-    argv = ["sweep", "--input", str(src), "--param", "B[0,0]",
-            "--lo", "0", "--hi", "1", "--step", "0.125"]
-    assert main(argv) == 1
-    assert "do not pair into conjugates" in capsys.readouterr().err
-    assert main(argv[:-4] + ["--lo", "0.5", "--hi", "1", "--step", "0.125"]) == 2
-    assert "eigenpair residual" in capsys.readouterr().err
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--hi", "1", "--step", "0.125"]
+    assert main(argv + ["--lo", "0"]) == 2
+    assert capsys.readouterr().err == failure(0.25)
+    assert main(argv + ["--lo", "0.5"]) == 2
+    assert capsys.readouterr().err == failure(0.75)
 
 
 def test_block_sweep_builds_one_rotation_per_block(tmp_path, capsys, monkeypatch):
@@ -589,23 +587,27 @@ def test_evolve_eigenstate_index_out_of_range(tmp_path, capsys, spec):
 
 @pytest.mark.parametrize("command,solves", [("analyze", 1), ("evolve", 1)])
 def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, command, solves):
-    # both commands classify once; C and the propagator are built from the
-    # classification's eigenvectors, not solved again
+    # both commands classify once, with one real solve; C and the propagator
+    # are built from the classification's eigenvectors, not solved again
     calls = []
-    original = pt.linalg.eig_arrays
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
 
     src = tmp_path / "sys.json"
     write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    wrapped = {name: counting(name, getattr(pt.linalg, name)) for name in ("eig_arrays", "eig_real")}
     for module in (pt.linalg, pt.spectral, pt.dynamics):
-        monkeypatch.setattr(module, "eig_arrays", counted)
+        for name, counted in wrapped.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     argv = [command, "--input", str(src), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == solves
+    assert calls == ["eig_real"] * solves
 
 
 def test_evolve_asymmetric_solves_once(capsys, monkeypatch):
@@ -618,7 +620,7 @@ def test_evolve_asymmetric_solves_once(capsys, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (pt.linalg, pt.spectral, pt.dynamics):
+    for module in (pt.linalg, pt.dynamics):
         monkeypatch.setattr(module, "eig_arrays", counted)
     assert main(["evolve", "--input", str(FIXTURES / "asym2x2.json")]) == 3
     capsys.readouterr()
@@ -708,7 +710,8 @@ def test_evolve_non_finite_horizon_is_input_error(tmp_path, capsys, system, t_ma
 def test_evolve_overflowing_samples_are_numerical_failure(tmp_path, capsys, system):
     src = _evolve_input(tmp_path, system)
     out = tmp_path / "trace.csv"
-    assert main(["evolve", "--input", src, "--t-max", "1e308", "--out", str(out)]) == 2
+    # past t = 1.797e308 / max|w| the phases w t of the frozen system overflow
+    assert main(["evolve", "--input", src, "--t-max", "1.7e308", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "non-finite inner product at t = " in err
     assert "max_drift" not in err

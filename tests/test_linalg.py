@@ -9,22 +9,6 @@ from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays, eig_real
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def test_mat_mul_identity(rng):
-    m = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    np.testing.assert_array_equal(pt.mat_mul(np.eye(4), m), m)
-
-
-def test_mat_mul_involutions():
-    d = np.diag([1.0, -1.0]).astype(complex)
-    np.testing.assert_allclose(pt.mat_mul(d, d), np.eye(2), atol=0)
-    np.testing.assert_allclose(pt.mat_mul(SWAP, SWAP), np.eye(2), atol=0)
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pt.mat_mul(np.eye(2), np.eye(3))
-
-
 def test_eigendecompose_diagonal():
     w, _, res = eig_arrays(np.diag([2.0, 0.0]))
     assert w.tolist() == [0.0, 2.0]  # sorted by (re, im)

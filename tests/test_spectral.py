@@ -37,23 +37,11 @@ def test_pt_apply_is_involution(seed):
     np.testing.assert_allclose(pt.pt_apply(pt.pt_apply(v, p), p), v, atol=1e-12)
 
 
-def test_fix_pt_phase_real_vector_identity():
-    v = np.array([0.6, 0.8], dtype=complex)
-    np.testing.assert_allclose(pt.fix_pt_phase(v, np.eye(2)), v, atol=1e-14)
-
-
 def test_fix_pt_phase_fixes_random_unbroken_system():
     sys = unbroken_system(4, 2, 2, 0)
     for v in pt.classify_phase(sys).v.T:
         resid = np.linalg.norm(pt.pt_apply(v, sys.p) - v)
         assert resid <= 1e-9
-
-
-def test_fix_pt_phase_rejects_broken_vector():
-    sys = two_level_system(0.0, 2.0, 1.0, 0.0)
-    _, v, _ = pt.eig_arrays(sys.h)
-    with pytest.raises(pt.CollinearityError):
-        pt.fix_pt_phase(v[:, 0], sys.p)
 
 
 def test_classify_unbroken_half_coupling():
@@ -180,23 +168,28 @@ def test_scan_rejects_bad_arguments_before_drawing(no_draws, args, kwargs, messa
 
 
 def test_scan_prescreens_each_block_with_one_eigensolve(monkeypatch):
-    rows, classified = [], []
-    original, original_eig_arrays = pt.spectral.eig_real, pt.spectral.eig_arrays
+    # eig_real serves both the prescreen and classify_stack: a call made
+    # inside classify_stack counts as a candidate's classification
+    rows, classified, inside = [], [], []
+    original, original_stack = pt.spectral.eig_real, pt.spectral.classify_stack
 
     def counted(m, tol):
-        rows.append(m.shape[0])
+        (classified if inside else rows).append(m.shape[0])
         return original(m, tol)
 
-    def counted_eig_arrays(m, tol):
-        classified.append(m.shape[0])
-        return original_eig_arrays(m, tol)
+    def counted_stack(h, p, tol):
+        inside.append(1)
+        try:
+            return original_stack(h, p, tol)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(pt.spectral, "eig_real", counted)
-    monkeypatch.setattr(pt.spectral, "eig_arrays", counted_eig_arrays)
+    monkeypatch.setattr(pt.spectral, "classify_stack", counted_stack)
     want = UNBROKEN_SEEDS[(5, 3, 2)]
     assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
-    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; the complex
-    # eigensolver runs only in classify_phase, one prescreened candidate at a time
+    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; candidates are
+    # classified one prescreened seed at a time
     assert rows == [16, 32, 64, 128, 256] + [512] * 12
     assert len(classified) >= len(want) and set(classified) == {1}
     # a cut block stops at max_trials
@@ -214,15 +207,17 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
     frozen = UNBROKEN_SEEDS.get((mp + mm, mp, mm), [])
     seeds = [*range(4096), *frozen]
     draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
-    w, res = pt.linalg.eig_real(pt.construct.block_frame(draws, mp, mm), tol)
+    frames = pt.construct.block_frame(draws, mp, mm)
+    w, _, res = pt.linalg.eig_real(frames, tol)
     h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
     wc, _, resc = pt.eig_arrays(h0, tol)
-    real = pt.spectral._real_eigenvalues
-    mask = real(w, tol).all(axis=1)
-    np.testing.assert_array_equal(mask, real(wc, tol).all(axis=1))
+    mask = pt.linalg.real_mask(w, frames).all(axis=1)
+    # the reference: H0's complex spectrum, each eigenvalue real within tol
+    real_c = np.abs(wc.imag) <= tol * np.maximum(1.0, np.abs(wc))
+    np.testing.assert_array_equal(mask, real_c.all(axis=1))
     assert mask[4096:].all()
     # pair each eigenvalue with its nearest one of H0: round-off decides the
-    # (Re, Im) order of H0's conjugate pairs, and M's come unsorted
+    # (Re, Im) order of H0's conjugate pairs, not of M's
     dist = np.abs(w[:, :, None] - wc[:, None, :])
     near = dist.argmin(axis=2)
     assert dist.min(axis=2).max() <= 1e-10
@@ -368,16 +363,18 @@ def test_classify_stack_one_parity_equals_a_parity_stack():
 
 
 def test_classify_stack_collinearity_failure_is_exceptional():
-    # real spectrum, but P = SWAP does not map the eigenvectors of diag(1, 2)
-    # onto themselves: phase fixing fails, in that row only
+    # at the exceptional point s = t the eigenvectors coalesce, in that row only
     ok = two_level_system(0.1, 0.4, 1.0, 0.0)
-    h = np.stack([ok.h, np.diag([1.0, 2.0]).astype(complex), ok.h])
-    p = np.stack([ok.p, SWAP, ok.p])
-    got = pt.classify_stack(h, p)
+    ep = two_level_system(0.1, 1.0, 1.0, 0.0)
+    got = pt.classify_stack(np.stack([ok.h, ep.h, ok.h]), ok.p)
     assert got.phases == [pt.Phase.UNBROKEN, pt.Phase.EXCEPTIONAL, pt.Phase.UNBROKEN]
     assert got.real_count.tolist() == [2, 0, 2]
-    with pytest.raises(pt.CollinearityError):
-        pt.fix_pt_phase(np.array([1.0, 0.0], dtype=complex), SWAP)
+    # P = SWAP does not map the eigenvectors of diag(1, 2) onto themselves:
+    # the pair is not PT-symmetric, so its Krein frame is not real
+    h = np.stack([ok.h, np.diag([1.0, 2.0]).astype(complex), ok.h])
+    p = np.stack([ok.p, SWAP, ok.p])
+    with pytest.raises(ValueError, match=r"imaginary residue 5.000e-01 > 4.000e-10"):
+        pt.classify_stack(h, p)
 
 
 def test_classify_stack_unpaired_conjugates_raise_in_any_row():
@@ -386,8 +383,51 @@ def test_classify_stack_unpaired_conjugates_raise_in_any_row():
     h = np.stack([ok.h, ok.h, unpaired])
     p = np.stack([ok.p, ok.p, np.eye(2, dtype=complex)])
     assert pt.classify_stack(h[:2], p[:2]).conjugate_pairs.tolist() == [1, 1]
-    with pytest.raises(ValueError, match="do not pair into conjugates"):
+    with pytest.raises(ValueError, match=r"not PT-symmetric for this P: .* residue "
+                                         r"2.000e\+00 > 4.000e-10 \(D \* PT_COMMUTATION_TOL"):
         pt.classify_stack(h, p)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-13])
+def test_classify_tiny_broken_point_is_broken(scale):
+    # the broken/unbroken verdict is structural, so H -> kH keeps it
+    sys = two_level_system(0.0, 2.0, 1.0, 0.3)
+    data = pt.classify_phase(pt.pt_system_from_matrices(scale * sys.h, sys.p))
+    assert data.phase is pt.Phase.BROKEN
+    assert (data.conjugate_pairs, data.real_count) == (1, 0)
+
+
+def test_conjugate_pairs_sit_adjacent_minus_im_first():
+    # each conjugate pair of a broken row, on a 2001-point two-level grid and
+    # on seeds 0..299 at (4, 2, 2), with a bit-identical real part
+    grid = pt.h2(pt.TwoByTwoParams(0.1, np.arange(2001) * 0.001, 1.0, 0.7))
+    systems = [pt.random_pt_system(4, (2, 2), seed) for seed in range(300)]
+    for got in (pt.classify_stack(grid, pt.p2(0.7)), pt.classify_stack(*_stack(systems))):
+        broken = [n for n, phase in enumerate(got.phases) if phase is pt.Phase.BROKEN]
+        assert broken
+        for n in broken:
+            w = got.w[n]
+            k = np.nonzero(w.imag)[0]
+            assert len(k) == 2 * got.conjugate_pairs[n]
+            lo, hi = k[0::2], k[1::2]
+            np.testing.assert_array_equal(hi, lo + 1)
+            assert (w[lo].imag < 0.0).all()
+            np.testing.assert_array_equal(w[lo], w[hi].conj())
+
+
+@pytest.mark.parametrize("mp,mm", [(6, 2), (4, 4), (5, 3), (7, 1), (2, 1), (3, 2)])
+def test_pontryagin_bound(mp, mm):
+    # M is self-adjoint for a J with min(m+, m-) negative (or positive)
+    # squares: at most that many conjugate pairs, so at least |m+ - m-| real
+    # eigenvalues. The spectrum is rotation-invariant, so H0 under P0 stands
+    # for random_pt_system's draws
+    k = pt.construct.block_draw_count(mp, mm)
+    draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in range(2048)])
+    h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
+    got = pt.classify_stack(h0, pt.make_p0(mp, mm))
+    broken = np.array([phase is pt.Phase.BROKEN for phase in got.phases])
+    assert got.conjugate_pairs.max() == min(mp, mm)
+    assert got.real_count[broken].min() == abs(mp - mm)
 
 
 def test_classify_stack_residual_bound_covers_every_row():
