@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from .algebra import c_operator
 from .closedform import TwoByTwoParams, h2, p2
 from .construct import (
     BlockForm,
+    _triu,
     check_pt_pairs,
     classify_matrix,
     count_parity_params,
@@ -46,7 +48,7 @@ from .serialize import (
     write_json,
     write_trace_csv,
 )
-from .spectral import Phase, PhaseStack, classify_phase, classify_stack
+from .spectral import PHASE_OF_CODE, Phase, PhaseStack, classify_phase, classify_stack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +61,8 @@ DRIFT_FLAG_THRESHOLD = 1e-6
 SWEEP_BLOCK = 512
 # what a grid point can raise; main maps each to its exit code
 _POINT_ERRORS = (ValueError, ConvergenceError, ExceptionalPointError, BrokenPhaseError)
+# the sweep's phase column of each PhaseStack code
+_PHASE_NAMES = np.array([phase.value for phase in PHASE_OF_CODE], dtype=object)
 
 
 class UsageError(Exception):
@@ -307,18 +311,19 @@ def _min_gaps(w: np.ndarray) -> np.ndarray:
     """Smallest |w_i - w_j| over the pairs of each row of an (N, D) stack, 0
     when D = 1. np.hypot on the parts equals Python's abs of a complex bit for
     bit; numpy's complex abs can differ from both by an ulp."""
-    i, j = np.triu_indices(w.shape[1], 1)
+    i, j = _triu(w.shape[1], 1)
     if not i.size:
         return np.zeros(w.shape[0])
     diff = w[:, i] - w[:, j]
     return np.hypot(diff.real, diff.imag).min(axis=1)
 
 
-def _sweep_rows(values: list[float], w: np.ndarray, phases: list[Phase],
+def _sweep_rows(values: list[float], w: np.ndarray, codes: np.ndarray,
                 gaps: np.ndarray) -> str:
-    """CSV rows `value, re_0, im_0, ..., phase, min_gap` of a block of points."""
+    """CSV rows `value, re_0, im_0, ..., phase, min_gap` of a block of points,
+    the phase given by its PhaseStack code."""
     cols = np.empty((len(values), 2 * w.shape[1] + 3), dtype=object)
-    cols[:, 0], cols[:, -2], cols[:, -1] = values, [phase.value for phase in phases], gaps
+    cols[:, 0], cols[:, -2], cols[:, -1] = values, _PHASE_NAMES[codes], gaps
     cols[:, 1:-2] = w.view(np.float64)  # each row of w as re_0, im_0, re_1, ...
     return format_rows("%.17g," * (cols.shape[1] - 2) + "%s,%.17g\n", cols)
 
@@ -335,7 +340,7 @@ def cmd_sweep(args) -> int:
     for lo in range(0, len(values), SWEEP_BLOCK):
         block = values[lo:lo + SWEEP_BLOCK]
         data = _classify_points(*points(block), args.tol)
-        out.write(_sweep_rows(block, data.w, data.phases, _min_gaps(data.w)))
+        out.write(_sweep_rows(block, data.w, data.codes, _min_gaps(data.w)))
     _emit(out.getvalue(), args.out)
     return EXIT_OK
 
@@ -406,10 +411,16 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built once per process: parsing leaves it as it
+    was, and each parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -119,8 +119,9 @@ def eig_real(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ConvergenceError(
             f"LAPACK dgeev did not converge for dimension {a.shape[-1]}"
         ) from exc
+    x = np.ascontiguousarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = column_norms(a @ x - x * w[:, None, :])
+        res = column_norms(real_matmul(a, x) - x * w[:, None, :])
     _check_residuals(res, tol)
     return w.astype(np.complex128, copy=False), x, res
 
@@ -158,6 +159,16 @@ def _check_residuals(res: np.ndarray, tol: float) -> None:
         )
 
 
+def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a real matrix or stack a and a real or complex stack x, with
+    real products only: numpy would cast a to complex for a complex x. A
+    C-contiguous complex x viewed as float64 holds Re x and Im x in
+    alternate columns, so one real product gives a @ Re x and a @ Im x in
+    the same layout, which is a @ x viewed back as complex."""
+    x = np.ascontiguousarray(x)
+    return (a @ x.view(np.float64)).view(x.dtype)
+
+
 def column_norms(a: np.ndarray) -> np.ndarray:
     """2-norm of every column of a matrix, or of each matrix of a stack: what
     np.linalg.norm(a, axis=-2) computes, without its per-call overhead."""
@@ -165,14 +176,28 @@ def column_norms(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """||m||_F of each matrix of an (N, D, D) stack."""
-    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(-2, -1)))
+    """||m||_F of each matrix of an (N, D, D) stack. A row whose sum of
+    squares overflows is summed again scaled by its largest |entry|, so
+    finite entries give a finite norm unless the norm itself is past the
+    float range; a row with an inf or NaN entry keeps the plain sum's norm."""
+    with np.errstate(over="ignore"):
+        squares = np.add.reduce((stack.conj() * stack).real, axis=(-2, -1))
+    norms = np.sqrt(squares)
+    big = ~np.isfinite(squares)
+    if big.any():
+        rows = np.abs(stack[big])
+        scale = rows.max(axis=(-2, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows /= scale[:, None, None]
+            scaled = scale * np.sqrt(np.add.reduce(rows * rows, axis=(-2, -1)))
+        norms[big] = np.where(np.isfinite(scale), scaled, norms[big])
+    return norms
 
 
 def clusters(w: np.ndarray, m: np.ndarray) -> list[range]:
     """Index runs of sorted eigenvalues w whose neighbours lie within
     CLUSTER_REL_GAP * ||m||_F of each other."""
-    gap = CLUSTER_REL_GAP * max(float(np.linalg.norm(m)), 1e-300)
+    gap = CLUSTER_REL_GAP * max(float(frobenius_norms(np.asarray(m)[None])[0]), 1e-300)
     vals = w.tolist()
     cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
     edges = [0, *cuts, len(vals)] if vals else []

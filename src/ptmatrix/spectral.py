@@ -10,6 +10,13 @@ since LAPACK dgeev returns a real eigenvalue with a real eigenvector x and
 the others in exact conjugate pairs. v = QSx is then an eigenvector of H
 that the PT operation fixes (J conj(S) = S), and v^T v = x^T J x is real; its
 sign is v's PT norm sign.
+
+Every matrix product around the frame is real. Q is real and conj(s_j) s_k
+is 1, i or -i, so M and its imaginary residue are signed entries of
+Q^T Re(h) Q and Q^T Im(h) Q; v = Q Re(Sx) + i Q Im(Sx); and h's residuals
+come from Re(h) and Im(h) times the real and imaginary parts of v
+(linalg.real_matmul, which gives a @ Re x and a @ Im x from one real
+product).
 """
 
 from __future__ import annotations
@@ -25,12 +32,19 @@ from .construct import (
 from .errors import BrokenPhaseError, ExceptionalPointError
 from .linalg import (
     DEFAULT_TOL, _bilinear_orthogonalize, column_norms, eig_real, multi_clusters, real_mask,
+    real_matmul,
 )
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
 # when eigenvectors coalesce; for the two-level family the value equals
 # sqrt(|1 - s^2/t^2|), so this threshold flags |s - t| < 2e-8 at t = 1.
 EP_ISOTROPY_TOL = 2e-4
+
+# eigenvector entries whose magnitudes lie within this relative distance of
+# the column's largest count as tied for it in the sign convention, so a tie
+# that a symmetry makes exact (the eigenvector (1, -1, 0)/sqrt(2) of an H and
+# P both invariant under swapping two indices) is not decided by round-off
+SIGN_TIE_RTOL = 1e-9
 
 # seeds prescreened per stacked eigensolve by find_unbroken_seeds: a first
 # block of 16 already gets most of the batching gain and costs a short scan
@@ -43,6 +57,10 @@ class Phase(enum.Enum):
     UNBROKEN = "unbroken"
     BROKEN = "broken"
     EXCEPTIONAL = "exceptional"
+
+
+# the Phase of each PhaseStack code, looked up for a whole stack at once
+PHASE_OF_CODE = np.array(list(Phase), dtype=object)
 
 
 @dataclass(frozen=True)
@@ -75,21 +93,26 @@ class PhaseStack:
 
     w (N, D) is sorted by (Re, Im), v (N, D, D) holds unit eigenvector
     columns, PT-fixed in unbroken rows, and residuals (N, D) their eigenpair
-    residuals; signs holds the PT-norm signs of unbroken rows and 0
-    elsewhere.
+    residuals; codes (N,) holds each row's phase as an index into
+    PHASE_OF_CODE (the order of Phase), and signs the PT-norm signs of
+    unbroken rows and 0 elsewhere.
     """
 
     w: np.ndarray
     v: np.ndarray
     residuals: np.ndarray
-    phases: list[Phase]
+    codes: np.ndarray
     real_count: np.ndarray
     conjugate_pairs: np.ndarray
     signs: np.ndarray
 
+    @property
+    def phases(self) -> list[Phase]:
+        return PHASE_OF_CODE[self.codes].tolist()
+
     def row(self, n: int) -> SpectralData:
         """Row n as SpectralData; its arrays are views of the stack's."""
-        phase = self.phases[n]
+        phase = PHASE_OF_CODE[self.codes[n]]
         return SpectralData(
             w=self.w[n],
             v=self.v[n],
@@ -139,20 +162,22 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
         )
     if not np.isfinite(hs).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    m, qs = _krein_frame(hs, ps)
+    hr, hi = np.ascontiguousarray(hs.real), np.ascontiguousarray(hs.imag)
+    m, residue, q, plus = _krein_frame(hr, hi, ps)
+    _check_real_frame(residue, hr, hi)
     w, x, _ = eig_real(m, tol)
     n, d = w.shape
 
     real = real_mask(w, m)
     broken = ~real.all(axis=1)
-    raw = qs @ x
-    v = raw.copy()
     # a real eigenvalue has a real x; a pair (w, conj w) counted as real
     # spans Re x and Im x, taken from its -Im and +Im column
     pair = (w.imag != 0.0) & ~broken[:, None]
+    fixed = x
     if pair.any():
         basis = np.where(w.imag[:, None, :] > 0.0, x.imag, x.real)
-        v = np.where(pair[:, None, :], qs @ (basis / column_norms(basis)[:, None, :]), v)
+        fixed = np.where(pair[:, None, :], basis / column_norms(basis)[:, None, :], x)
+    v = _frame_vectors(q, plus, fixed)
     exceptional = np.zeros(n, dtype=bool)
     for row, runs in multi_clusters(w, m).items():
         kept = [_bilinear_orthogonalize(v[row], cols) for cols in runs]
@@ -163,44 +188,66 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     exceptional |= (np.abs(norms) < EP_ISOTROPY_TOL).any(axis=1)
     broken &= ~exceptional
     unbroken = ~exceptional & ~broken
-    # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
-    # Re x and Im x of a pair span a Jordan chain, not eigenvectors
-    v[exceptional] = raw[exceptional]
-    # the leftover sign: the largest-magnitude entry gets a positive real
-    # part, or a positive imaginary part when its real part is 0
-    top = v[np.arange(n)[:, None], np.abs(v).argmax(axis=1), np.arange(d)]
+    if exceptional.any():
+        # an exceptional row keeps dgeev's eigenvectors: at an exceptional
+        # point Re x and Im x of a pair span a Jordan chain, not eigenvectors
+        rows = exceptional.nonzero()[0]
+        v[rows] = _frame_vectors(np.broadcast_to(q, (n, d, d))[rows],
+                                np.broadcast_to(plus, (n, d))[rows], x[rows])
+    # the leftover sign: the first entry within SIGN_TIE_RTOL of the largest
+    # magnitude gets a positive real part, or a positive imaginary part when
+    # its real part is 0
+    mag = np.abs(v)
+    first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    top = v[np.arange(n)[:, None], first, np.arange(d)]
     v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
-    phases = [
-        Phase.UNBROKEN if u else Phase.BROKEN if b else Phase.EXCEPTIONAL
-        for u, b in zip(unbroken.tolist(), broken.tolist())
-    ]
+    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v
+    hv = real_matmul(hr, v) + 1j * real_matmul(hi, v)
     return PhaseStack(
         w=w,
         v=v,
-        residuals=column_norms(hs @ v - v * w[:, None, :]),
-        phases=phases,
+        residuals=column_norms(hv - v * w[:, None, :]),
+        codes=np.where(unbroken, 0, np.where(broken, 1, 2)),
         real_count=np.where(broken, real.sum(axis=1), np.where(unbroken, d, 0)),
         conjugate_pairs=np.where(broken, (~real).sum(axis=1) // 2, 0),
         signs=np.where(unbroken[:, None], np.where(norms.real > 0.0, 1, -1), 0),
     )
 
 
-def _krein_frame(h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, QS) of an (N, D, D) stack h and one (D, D) parity p or a stack of
-    them: P = Q J Q^T from eigh, S = 1 on J's +1 entries and i on its -1
-    entries, and M = (QS)^H h (QS), returned real.
+def _krein_frame(hr: np.ndarray, hi: np.ndarray,
+                 p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Im M, Q, plus) of an (N, D, D) stack h = hr + i hi and one (D, D)
+    parity p or a stack of them: P = Q J Q^T from eigh, plus marks J's +1
+    entries, and M = (QS)^H h (QS) with S = 1 on them and i elsewhere.
+
+    Q is real, so Q^T h Q = G is Q^T hr Q + i Q^T hi Q, and M_jk =
+    conj(s_j) s_k G_jk with conj(s_j) s_k = 1 on J's diagonal blocks, i on
+    its (+, -) block and -i on its (-, +) block: Re M and Im M are entries of
+    the two real products, exactly, with a sign.
+    """
+    lam, q = np.linalg.eigh(p.real)
+    plus = lam > 0.0
+    qt = q.swapaxes(-1, -2)
+    gr, gi = qt @ hr @ q, qt @ hi @ q
+    # Im(conj(s_j) s_k): 0 on J's diagonal blocks, +1 on (+, -), -1 on (-, +)
+    turn = plus[..., :, None] * 1.0 - plus[..., None, :]
+    same = turn == 0.0
+    return np.where(same, gr, -turn * gi), np.where(same, gi, turn * gr), q, plus
+
+
+def _check_real_frame(residue: np.ndarray, hr: np.ndarray, hi: np.ndarray) -> None:
+    """Raise ValueError when some row's max|Im M| (residue, of _krein_frame)
+    is above D * PT_COMMUTATION_TOL * max(1, max|h|), naming the worst row's.
 
     max|Im M| is half the largest entry of Q^T (P conj(h) P - h) Q, so it is
     at most D/2 times the residual that check_pt_pairs bounds by
     PT_COMMUTATION_TOL; forming M adds a round-off of about eps * max|h|.
-    Raises ValueError when some row has max|Im M| above D *
-    PT_COMMUTATION_TOL * max(1, max|h|), naming the worst row's residue.
     """
-    lam, q = np.linalg.eigh(p.real)
-    qs = q * np.where(lam > 0.0, 1.0, 1j)[..., None, :]
-    m = qs.conj().swapaxes(-1, -2) @ h @ qs
-    bound = h.shape[-1] * PT_COMMUTATION_TOL * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-    excess = np.abs(m.imag).max(axis=(1, 2)) / bound
+    floor = hr.shape[-1] * PT_COMMUTATION_TOL
+    if np.abs(residue).max() <= floor:  # every row's bound is at least floor
+        return
+    bound = floor * np.maximum(1.0, np.hypot(hr, hi).max(axis=(1, 2)))
+    excess = np.abs(residue).max(axis=(1, 2)) / bound
     worst = int(excess.argmax())
     if excess[worst] > 1.0:
         raise ValueError(
@@ -208,7 +255,12 @@ def _krein_frame(h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"residue {excess[worst] * bound[worst]:.3e} > {bound[worst]:.3e} "
             "(D * PT_COMMUTATION_TOL * max(1, max|H|))"
         )
-    return m.real, qs
+
+
+def _frame_vectors(q: np.ndarray, plus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v = QSx of (N, D, D) eigenvector columns x of M (see _krein_frame):
+    Q Re(Sx) + i Q Im(Sx), the two real products of linalg.real_matmul."""
+    return real_matmul(q, np.where(plus[..., :, None], x, 1j * x))
 
 
 def pt_norm_signature(sys: PTSystem, tol: float = DEFAULT_TOL) -> np.ndarray:

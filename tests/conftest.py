@@ -1,9 +1,19 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 import ptmatrix as pt
 
 from _seeds import UNBROKEN_SEEDS
+
+# pytest finds the package through pythonpath = ["src"] (pyproject.toml); the
+# tests that start `python -m ptmatrix.cli` in a subprocess need it too
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [x for x in os.environ.get("PYTHONPATH", "").split(os.pathsep) if x and x != _SRC]
+)
 
 
 def unbroken_system(dim: int, m_plus: int, m_minus: int, index: int) -> pt.PTSystem:

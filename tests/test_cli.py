@@ -417,6 +417,7 @@ def test_sweep_rows_match_fmt17_rows():
     specials = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]
     values = specials + [0.25]
     w = np.array([[complex(x, y), complex(y, -x)] for x, y in zip(values, values[::-1])])
+    codes = np.array([0, 1, 2] * 2 + [0])
     phases = [pt.Phase.UNBROKEN, pt.Phase.BROKEN, pt.Phase.EXCEPTIONAL] * 2 + [pt.Phase.UNBROKEN]
     gaps = np.array(values[::-1])
     want = "".join(
@@ -424,7 +425,7 @@ def test_sweep_rows_match_fmt17_rows():
         + f"{phase.value},{fmt17(gap)}\n"
         for x, row, phase, gap in zip(values, w, phases, gaps)
     )
-    assert _sweep_rows(values, w, phases, gaps) == want
+    assert _sweep_rows(values, w, codes, gaps) == want
     assert ",-0," in want and "e-324" in want and "-inf" in want and "nan" in want
 
 
@@ -726,3 +727,44 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.splitlines() == TABLE_THROUGH_6[:3]
+
+
+def test_parser_is_built_once_and_reused_safely(tmp_path, capsys, monkeypatch):
+    # main builds the parser once per process; a sequence of calls in one
+    # process gives what a fresh process gives for each call
+    src = tmp_path / "sys.json"
+    write_json(src, system_to_obj(pt.pt_system_from_matrices(
+        pt.h2(pt.TwoByTwoParams(0.1, 0.4, 1.0, 0.7)), pt.p2(0.7))))
+    sweep_csv, trace_csv = tmp_path / "sweep.csv", tmp_path / "trace.csv"
+    sweep = ["sweep", "--param", "s", "--t", "1", "--lo", "0", "--hi", "2", "--step", "0.125",
+             "--out", str(sweep_csv)]
+    calls = [
+        sweep,
+        ["sweep", "--param", "s", "--lo", "0"],  # usage error: --hi and --step missing
+        ["evolve", "--input", str(src), "--state", "eig:1", "--steps", "11", "--out", str(trace_csv)],
+        sweep,
+    ]
+
+    def outputs(code, out, err):
+        files = tuple(p.read_text() if p.exists() else None for p in (sweep_csv, trace_csv))
+        return code, out, err, files
+
+    built = []
+    original = pt.cli.build_parser
+    monkeypatch.setattr(pt.cli, "build_parser", lambda: built.append(1) or original())
+    pt.cli._parser.cache_clear()
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append(outputs(code, *capsys.readouterr()))
+    assert len(built) == 1
+    pt.cli._parser.cache_clear()
+    for p in (sweep_csv, trace_csv):
+        p.unlink()
+    fresh = []
+    for argv in calls:
+        res = subprocess.run([sys.executable, "-m", "ptmatrix.cli", *argv],
+                             capture_output=True, text=True)
+        fresh.append(outputs(res.returncode, res.stdout, res.stderr))
+    assert in_process == fresh
+    assert [x[0] for x in fresh] == [0, 1, 0, 0]

@@ -405,3 +405,19 @@ def test_check_pt_pairs_one_parity_for_a_stack():
         pt.check_pt_pairs(h, one)
     with pytest.raises(ValueError, match="parity must square to the identity"):
         pt.check_pt_pairs(h, 2.0 * one)
+
+
+def test_check_pt_pairs_bounds_the_modulus_of_the_residual():
+    # P conj(H) P - H has real and imaginary parts of 0.8e-10 each, both below
+    # PT_COMMUTATION_TOL, and a modulus of 1.131e-10 above it
+    a, e = 0.5 + 0.3j, -0.8e-10 * (1.0 + 1.0j)
+    h = np.array([[a + e, 0.7], [0.7, a.conjugate()]])
+    p = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    resid = p @ h.conj() @ p - h
+    assert np.abs(resid.real).max() < 1e-10 and np.abs(resid.imag).max() < 1e-10
+    with pytest.raises(ValueError, match=r"residual 1\.131e-10 > PT_COMMUTATION_TOL 1e-10"):
+        pt.check_pt_pairs(h, p)
+    ok = np.array([[a, 0.7], [0.7, a.conjugate()]])
+    pt.check_pt_pairs(ok, p)
+    with pytest.raises(ValueError, match=r"residual 1\.131e-10"):
+        pt.check_pt_pairs(np.stack([ok, h]), p)

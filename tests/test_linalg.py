@@ -87,6 +87,32 @@ def test_overflowing_residual_is_rejected_without_warning(m, bad):
         eig_arrays(np.array(m, dtype=complex))
 
 
+@pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
+def test_overflowing_cluster_gap_keeps_the_residual(s):
+    # ||H||_F^2 overflows here; the cluster gap must not become inf, which
+    # would join both eigenvalues into one cluster and have the orthogonalizer
+    # rewrite the columns (the message then read "residual 1.000e+00")
+    h = pt.h2(pt.TwoByTwoParams(0.0, s, 1.0, np.pi / 2))
+    with pytest.raises(pt.ConvergenceError) as exc:
+        eig_arrays(h)
+    figure = float(str(exc.value).split()[2])
+    # zgeev's own eigenpairs, their residuals computed on h / s, where nothing overflows
+    w, v = np.linalg.eig(h / s)
+    want = s * np.linalg.norm((h / s) @ v - v * w, axis=0).max()
+    if want < np.sqrt(np.finfo(float).max):
+        assert figure == pytest.approx(want, rel=1e-2)
+    else:  # the sum of squares of the residual vector overflows
+        assert figure == np.inf
+
+
+def test_frobenius_norms_of_large_entries_stay_finite():
+    m = np.array([[[1e200, -1e200], [3e200, 0.0]], [[3.0, 0.0], [0.0, 4.0]]])
+    np.testing.assert_allclose(pt.linalg.frobenius_norms(m), [np.sqrt(11.0) * 1e200, 5.0], rtol=1e-15)
+    gap = CLUSTER_REL_GAP * np.sqrt(11.0) * 1e200
+    w = np.array([0.0, 0.5 * gap, 3.0 * gap], dtype=complex)
+    assert clusters(w, m[0]) == [range(0, 2), range(2, 3)]
+
+
 def test_eig_real_overflowing_residual_is_rejected_without_warning():
     m = np.array([[[1.7e308, 1e308], [1e308, 1.7e308]]])  # an eigenvalue is inf
     with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above tolerance"):

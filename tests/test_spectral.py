@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmatrix as pt
+from ptmatrix import spectral
 
 from _seeds import UNBROKEN_SEEDS
 from conftest import unbroken_system, unbroken_systems
@@ -447,3 +450,77 @@ def test_classify_stack_rejects_bad_shapes():
         pt.classify_stack(np.zeros((1, 0, 0)), np.zeros((1, 0, 0)))
     with pytest.raises(ValueError):
         pt.classify_stack(np.eye(2)[None], np.eye(3)[None])
+
+
+def test_sign_convention_ignores_round_off_in_a_magnitude_tie():
+    # H and P are symmetric under swapping indices 0 and 1, so the eigenvalue
+    # 0.7 has the eigenvector (1, -1, 0)/sqrt(2): its two largest magnitudes
+    # tie exactly, and a last-bit change of H decides which one comes out larger
+    h0 = np.array([[1.0, 0.3, 0.2j], [0.3, 1.0, 0.2j], [0.2j, 0.2j, -1.0]])
+    p = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    hs = [h0]
+    for (i, j), ulps in itertools.product([(0, 0), (0, 1), (1, 1), (2, 2)], [-3, -2, -1, 1, 2, 3]):
+        h = h0.copy()
+        h[i, j] = h[j, i] = h0[i, j].real + ulps * np.spacing(h0[i, j].real)
+        hs.append(h)
+    got = pt.classify_stack(np.array(hs), p)
+    assert got.phases == [pt.Phase.UNBROKEN] * len(hs)
+    assert np.abs(got.w[:, 1] - 0.7).max() <= 1e-14
+    mag = np.abs(got.v[:, :2, 1])
+    assert (mag[:, 0] > mag[:, 1]).any() and (mag[:, 0] < mag[:, 1]).any()
+    # the first of the tied entries gets the positive sign in every row
+    want = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    assert np.abs(got.v[:, :, 1] - want).max() <= 1e-14
+
+
+def _complex_frame(h, p):
+    """(M, QS) of the pairs (h[n], p[n]) from complex products: QS from eigh
+    of p, with S = 1 on its +1 and i on its -1 eigenvalues."""
+    lam, q = np.linalg.eigh(p.real)
+    qs = q * np.where(lam > 0.0, 1.0, 1j)[..., None, :]
+    return qs.conj().swapaxes(-1, -2) @ h @ qs, qs
+
+
+def _complex_residuals(a, v, w):
+    return np.linalg.norm(a.astype(complex) @ v - v * w[:, None, :], axis=-2)
+
+
+def _frame_input(name):
+    """(h stack, p or p stack) named by name: every frozen system of a key, a
+    2001-point two-level grid through s = t, a phi sweep (a parity stack) or
+    a D = 8 B[0,0] block stack."""
+    if name in FROZEN_KEYS:
+        key = FROZEN_KEYS[name]
+        return _stack([pt.random_pt_system(key[0], key[1:], seed) for seed in UNBROKEN_SEEDS[key]])
+    if name == "s_grid":
+        return pt.h2(pt.TwoByTwoParams(0.2, np.linspace(0.0, 2.0, 2001), 1.0, 0.7)), pt.p2(0.7)
+    if name.startswith("phi_sweep"):
+        phis = np.linspace(0.0, 2.0 * np.pi, 629)
+        return pt.h2(pt.TwoByTwoParams(0.2, float(name.split("=")[1]), 1.0, phis)), pt.p2(phis)
+    prov = unbroken_system(8, 6, 2, 0).provenance
+    values = np.linspace(-2.0, 2.0, 101)
+    a, b, c = (np.repeat(np.array(prov["blocks"][k])[None], len(values), axis=0) for k in "ABC")
+    b[:, 0, 0] = values
+    return pt.pt_matrices(pt.BlockForm(a, b, c), pt.ParitySpec(6, 2, prov["angles"]))
+
+
+FROZEN_KEYS = {"frozen_{}_{}_{}".format(*key): key for key in sorted(UNBROKEN_SEEDS)}
+
+
+@pytest.mark.parametrize("name", [*FROZEN_KEYS, "s_grid", "phi_sweep_s=0.5", "phi_sweep_s=1.0",
+                                  "phi_sweep_s=1.5", "block_B[0,0]"])
+def test_real_products_match_the_complex_formulas(name):
+    # the real Krein frame is built from real products only; each piece must
+    # agree with the complex product it replaces, to round-off
+    h, p = _frame_input(name)
+    scale = max(1.0, float(np.abs(h).max()))
+    m, residue, q, plus = spectral._krein_frame(np.ascontiguousarray(h.real),
+                                                 np.ascontiguousarray(h.imag), p)
+    m_ref, qs = _complex_frame(h, p)
+    assert np.abs(m - m_ref.real).max() <= 1e-13 * scale
+    assert np.abs(residue - m_ref.imag).max() <= 1e-13 * scale
+    w, x, res = pt.linalg.eig_real(m)
+    assert np.abs(res - _complex_residuals(m, x, w)).max() <= 1e-13 * scale
+    assert np.abs(spectral._frame_vectors(q, plus, x) - qs @ x).max() <= 1e-14
+    got = pt.classify_stack(h, p)
+    assert np.abs(got.residuals - _complex_residuals(h, got.v, got.w)).max() <= 1e-13 * scale
