@@ -51,7 +51,6 @@ from .linalg import (
     is_orthogonal,
     is_real,
     is_symmetric,
-    mat_exp_times,
     max_abs,
 )
 from .spectral import (
@@ -62,7 +61,6 @@ from .spectral import (
     classify_stack,
     find_unbroken_seeds,
     pt_apply,
-    pt_norm_signature,
 )
 
 __all__ = [
@@ -107,7 +105,6 @@ __all__ = [
     "make_parity",
     "make_pt_system",
     "make_rotation",
-    "mat_exp_times",
     "max_abs",
     "max_signature",
     "nonunitarity_demo",
@@ -118,7 +115,6 @@ __all__ = [
     "pt_commutes",
     "pt_inner",
     "pt_matrices",
-    "pt_norm_signature",
     "pt_system_from_matrices",
     "random_pt_system",
     "unitarity_trace",

@@ -4,12 +4,17 @@ Time is dimensionless. A valid unbroken system conserves the CPT inner
 product of evolving states; an asymmetric Hamiltonian forces a weight-matrix
 inner product whose value drifts because the weight fails to commute with H.
 
-A trace propagates with the classification's eigenvectors, so H is solved
-once per system, and folds V, V^-1 and the product's matrix into one D x D
-Gram matrix: a block of TIME_BLOCK times costs one (T, D) array of phases
-exp(-iwt) and one (T, D) @ (D, D) product. A non-finite horizon is a
-ValueError; a sample that overflows (large t, or growing modes of a
-non-Hermitian H) is a ConvergenceError naming the first such time.
+evolve applies exp(-iHt) to a state and unitarity_trace samples an inner
+product of two evolving states; both take the classification of H
+(classify_phase) and propagate with its eigenpairs as V diag(exp(-iwt))
+V^-1, so H is solved once per system. Only the asymmetric route,
+nonunitarity_demo, which has no parity to classify with, solves H itself
+(LAPACK zgeev). A trace folds V, V^-1 and the product's matrix into one
+D x D Gram matrix: a block of TIME_BLOCK times costs one (T, D) array of
+phases exp(-iwt) and one (T, D) @ (D, D) product. A non-finite time or
+horizon is a ValueError; a state or sample that overflows (large t, or
+growing modes of a non-Hermitian H) is a ConvergenceError naming the first
+such time.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import build_weight_matrix
-from .construct import PTSystem, validate_parity
+from .construct import validate_parity
 from .errors import ConvergenceError
-from .linalg import DEFAULT_TOL, as_matrix, eig_arrays, eigvec_inverse, mat_exp_times, max_abs
+from .linalg import (
+    DEFAULT_TOL, as_matrix, eig_arrays, eigvec_inverse, max_abs, orthogonalize_clusters,
+)
 from .spectral import SpectralData, pt_apply
 
 COMMUTATOR_REL_THRESHOLD = 1e-3
@@ -50,12 +57,31 @@ class NonunitarityResult:
     conclusive: bool
 
 
-def evolve(sys: PTSystem, state, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-iHt) applied to the state."""
+def evolve(data: SpectralData, state, t) -> np.ndarray:
+    """exp(-iHt) applied to the state, for the H that data classifies (see
+    classify_phase): V diag(exp(-iwt)) V^-1 state over data's eigenpairs, so
+    H is not solved again. A scalar t gives the (D,) state at t; a 1-D array
+    of T times gives a (T, D) array, one state per time.
+
+    Raises ValueError for a non-finite time, ExceptionalPointError when
+    cond(V) exceeds COND_CAP (eigvec_inverse), and ConvergenceError, naming
+    the first such time, for a state that is not finite (w t overflows, or a
+    growing mode of a broken H).
+    """
     vec = np.asarray(state, dtype=np.complex128)
-    if vec.shape != (sys.dim,):
+    if vec.shape != data.w.shape:
         raise ValueError("state dimension does not match the system")
-    return mat_exp_times(sys.h, -1j * t, tol) @ vec
+    times = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {t}")
+    alpha = eigvec_inverse(data.v) @ vec
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (np.exp(np.multiply.outer(times, -1j * data.w)) * alpha) @ data.v.T
+    bad = ~np.isfinite(out).all(axis=-1)
+    if bad.any():
+        first = float(times.flat[np.argmax(bad)])
+        raise ConvergenceError(f"evolved state is not finite at t = {first!r}")
+    return out
 
 
 def _grid(t_max: float, steps: int) -> np.ndarray:
@@ -152,6 +178,7 @@ def nonunitarity_demo(
     h = as_matrix(h_asym)
     pm = validate_parity(p, tol)
     w, v, _ = eig_arrays(h, tol)
+    orthogonalize_clusters(w[None], v[None], h[None])
     weight = build_weight_matrix([v[:, k] for k in range(h.shape[0])], pm)
     vinv = eigvec_inverse(v)
     comm = max_abs(weight @ h - h @ weight)

@@ -1,19 +1,24 @@
-"""Dense complex matrix helpers and general (non-Hermitian, non-symmetric)
-eigendecompositions of one matrix or of an (N, D, D) stack of them.
+"""Dense matrix helpers and the general (non-Hermitian, non-symmetric)
+eigendecomposition of one matrix or of an (N, D, D) stack of them.
 
-eig_arrays solves complex matrices with LAPACK zgeev and eig_real real stacks
-with dgeev, each through one batched numpy.linalg.eig call per stack; both
-sort the eigenpairs by (Re, Im) and check their residuals, and eig_arrays
-also orthogonalizes eigenvalue clusters under the bilinear product. dgeev
-returns a real eigenvalue with an imaginary part of exactly 0, so real_mask,
-the one test of which eigenvalues count as real, is structural up to a
-cluster gap.
+eig_arrays is the one eigensolver: one batched numpy.linalg.eig call per
+stack, LAPACK dgeev for a real input and zgeev for a complex one, with the
+eigenpairs sorted by (Re, Im) and their residuals checked. dgeev returns a
+real eigenvalue with an imaginary part of exactly 0, so real_mask, the one
+test of which eigenvalues count as real, is structural up to a cluster gap.
+orthogonalize_clusters makes the eigenvectors of each eigenvalue cluster
+orthogonal under the bilinear product v^T w, the product all PT machinery
+downstream is built on, and eigvec_inverse inverts an eigenvector matrix
+unless it is numerically singular.
 
-Matrices are plain numpy arrays of complex128, apart from eig_real's real
-input; everything here is a pure function of its inputs.
+Matrices are plain numpy arrays of float64 or complex128; everything here is
+a pure function of its inputs, apart from orthogonalize_clusters, which
+works in place.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -63,67 +68,46 @@ def is_orthogonal(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, L2-normalized eigenvector columns and their residuals
-    ||m v - w v||_2; sorted by (Re, Im). A residual above tol raises
-    ConvergenceError.
-
-    Eigenvalues within 1e-8 * ||m||_F of each other are clustered and their
-    vectors orthogonalized under the bilinear (non-conjugating) dot product,
-    which is the product all PT machinery downstream is built on.
+    """Eigenvalues w, L2-normalized eigenvector columns v and their residuals
+    ||m v - w v||_2 of a real or complex matrix, sorted by (Re, Im). A
+    residual above tol raises ConvergenceError.
 
     A (D, D) matrix gives shapes (D,), (D, D), (D,); an (N, D, D) stack gives
-    (N, D), (N, D, D), (N, D), row n holding what m[n] alone would give. The
-    residual bound applies to every row.
+    (N, D), (N, D, D), (N, D), row n holding what m[n] alone would give, from
+    one batched LAPACK call: dgeev for a real m, zgeev for a complex one. The
+    residual bound applies to every row. w is complex; from dgeev a real
+    eigenvalue has an imaginary part of exactly 0 and a real eigenvector, and
+    a non-real one comes right after its exact conjugate, with a
+    bit-identical real part and the conjugate eigenvector (v is real when
+    every eigenvalue of the stack is).
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m)
+    real = not np.iscomplexobj(a)
+    a = a.astype(np.float64 if real else np.complex128, copy=False)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    stack = a if a.ndim == 3 else a[None]
-    n = a.shape[-1]
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
-
+    stack = a if a.ndim == 3 else a[None]
     try:
         w, v = _sorted_pairs(*np.linalg.eig(stack))
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK zgeev did not converge for dimension {n}") from exc
+        raise ConvergenceError(
+            f"LAPACK {'dgeev' if real else 'zgeev'} did not converge for dimension {a.shape[-1]}"
+        ) from exc
 
-    # norms overflow near the float limit; a non-finite residual fails the bound
+    # products overflow near the float limit; a non-finite residual fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, runs in multi_clusters(w, stack).items():
-            for cols in runs:
-                _bilinear_orthogonalize(v[row], cols)
-        res = column_norms(stack @ v - v * w[:, None, :])
+        if real:
+            v = np.ascontiguousarray(v)
+            res = column_norms(real_matmul(stack, v) - v * w[:, None, :])
+        else:
+            res = column_norms(stack @ v - v * w[:, None, :])
     _check_residuals(res, tol)
+    w = w.astype(np.complex128, copy=False)
     if a.ndim == 2:
         return w[0], v[0], res[0]
     return w, v, res
-
-
-def eig_real(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w (N, D), L2-normalized eigenvector columns x (N, D, D) and
-    their residuals ||m x - w x||_2 (N, D) of a real (N, D, D) stack, from one
-    batched LAPACK dgeev call, sorted by (Re, Im). A real eigenvalue has
-    imaginary part exactly 0 and a real eigenvector; a non-real one comes
-    right after its exact conjugate, with bit-identical real part and the
-    conjugate eigenvector. A residual above tol raises ConvergenceError, as
-    in eig_arrays."""
-    a = np.asarray(m)
-    if a.ndim != 3 or a.shape[-1] != a.shape[-2] or not np.isrealobj(a):
-        raise ValueError(f"expected a real (N, D, D) stack, got {a.dtype} of shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    try:
-        w, x = _sorted_pairs(*np.linalg.eig(a))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"LAPACK dgeev did not converge for dimension {a.shape[-1]}"
-        ) from exc
-    x = np.ascontiguousarray(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = column_norms(real_matmul(a, x) - x * w[:, None, :])
-    _check_residuals(res, tol)
-    return w.astype(np.complex128, copy=False), x, res
 
 
 def _sorted_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,26 +155,39 @@ def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def column_norms(a: np.ndarray) -> np.ndarray:
     """2-norm of every column of a matrix, or of each matrix of a stack: what
-    np.linalg.norm(a, axis=-2) computes, without its per-call overhead."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2))
+    np.linalg.norm(a, axis=-2) computes, without its per-call overhead. A
+    column whose sum of squares overflows is summed again (see _rescaled_norms)."""
+    squares = np.add.reduce((a.conj() * a).real, axis=-2)
+    if math.isfinite(squares.sum()):
+        return np.sqrt(squares)
+    return _rescaled_norms(squares, np.swapaxes(a, -1, -2))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """||m||_F of each matrix of an (N, D, D) stack. A row whose sum of
-    squares overflows is summed again scaled by its largest |entry|, so
-    finite entries give a finite norm unless the norm itself is past the
-    float range; a row with an inf or NaN entry keeps the plain sum's norm."""
+    """||m||_F of each matrix of an (N, D, D) stack. A matrix whose sum of
+    squares overflows is summed again (see _rescaled_norms)."""
     with np.errstate(over="ignore"):
         squares = np.add.reduce((stack.conj() * stack).real, axis=(-2, -1))
-    norms = np.sqrt(squares)
-    big = ~np.isfinite(squares)
-    if big.any():
-        rows = np.abs(stack[big])
-        scale = rows.max(axis=(-2, -1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows /= scale[:, None, None]
-            scaled = scale * np.sqrt(np.add.reduce(rows * rows, axis=(-2, -1)))
-        norms[big] = np.where(np.isfinite(scale), scaled, norms[big])
+        finite = math.isfinite(squares.sum())
+    if finite:
+        return np.sqrt(squares)
+    return _rescaled_norms(squares, stack.reshape(*stack.shape[:-2], -1))
+
+
+def _rescaled_norms(squares: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sqrt(squares), where squares holds the sum of |x|^2 over the last axis
+    of vectors. Where that sum is not finite, it is summed again scaled by
+    the vector's largest |entry|, so finite entries give a finite norm unless
+    the norm itself is past the float range; a vector with an inf or NaN
+    entry keeps the plain sum's norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(squares)
+        big = ~np.isfinite(squares)
+        rows = np.abs(vectors[big])
+        scale = rows.max(axis=-1, initial=0.0)
+        rows /= scale[:, None]
+        scaled = scale * np.sqrt(np.add.reduce(rows * rows, axis=-1))
+    norms[big] = np.where(np.isfinite(scale), scaled, norms[big])
     return norms
 
 
@@ -222,6 +219,18 @@ def multi_clusters(w: np.ndarray, stack: np.ndarray) -> dict[int, list[range]]:
     return found
 
 
+def orthogonalize_clusters(w: np.ndarray, v: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Make the eigenvector columns v (N, D, D) of each eigenvalue cluster of
+    sorted eigenvalues w (N, D) of an (N, D, D) stack (see multi_clusters)
+    orthogonal under the bilinear product v^T w, in place. Returns one bool
+    per row, False where a column collapsed: a cluster with no basis of
+    eigenvectors (defective input)."""
+    kept = np.ones(w.shape[0], dtype=bool)
+    for row, runs in multi_clusters(w, stack).items():
+        kept[row] = all([_bilinear_orthogonalize(v[row], cols) for cols in runs])
+    return kept
+
+
 def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> bool:
     """Modified Gram-Schmidt under v^T v on one eigenvalue cluster, in place;
     False when a column collapsed.
@@ -247,43 +256,14 @@ def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> bool:
     return kept
 
 
-def diagonalize(m, tol: float = DEFAULT_TOL,
-                cond_cap: float = COND_CAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, eigenvector columns V and V^-1, so that m = V diag(w) V^-1.
-
-    Raises ExceptionalPointError when cond(V) exceeds cond_cap; see
-    eigvec_inverse.
-    """
-    w, v, _ = eig_arrays(as_matrix(m), tol)
-    return w, v, eigvec_inverse(v, cond_cap)
-
-
-def eigvec_inverse(v: np.ndarray, cond_cap: float = COND_CAP) -> np.ndarray:
+def eigvec_inverse(v: np.ndarray) -> np.ndarray:
     """V^-1 of an eigenvector matrix, or ExceptionalPointError when cond(V)
-    exceeds cond_cap (defective input, e.g. at an exceptional point), where
+    exceeds COND_CAP (defective input, e.g. at an exceptional point), where
     V^-1 would be meaningless."""
     sing = np.linalg.svd(v, compute_uv=False)
-    if sing[-1] <= 0.0 or sing[0] / sing[-1] > cond_cap:
+    if sing[-1] <= 0.0 or sing[0] / sing[-1] > COND_CAP:
         raise ExceptionalPointError(
             "eigenvector matrix is numerically singular; matrix is defective "
             "or too close to an exceptional point"
         )
     return np.linalg.solve(v, np.eye(v.shape[0], dtype=np.complex128))
-
-
-def mat_exp_times(m, scalar: complex, tol: float = DEFAULT_TOL,
-                  cond_cap: float = COND_CAP) -> np.ndarray:
-    """exp(scalar * m) through the eigendecomposition S exp(scalar L) S^-1.
-
-    Raises ValueError for a non-finite scalar, ConvergenceError for a
-    non-finite result, and ExceptionalPointError when the eigenvector matrix
-    is numerically singular (defective input, e.g. at an exceptional point).
-    """
-    if not np.isfinite(scalar):
-        raise ValueError(f"scalar must be finite, got {scalar}")
-    w, v, vinv = diagonalize(m, tol, cond_cap)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (v * np.exp(scalar * w)) @ vinv
-    if not np.isfinite(out).all():
-        raise ConvergenceError(f"exp(scalar * m) is not finite at scalar = {scalar!r}")
-    return out

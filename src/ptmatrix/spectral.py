@@ -29,10 +29,8 @@ import numpy as np
 from .construct import (
     PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame, random_pt_system,
 )
-from .errors import BrokenPhaseError, ExceptionalPointError
 from .linalg import (
-    DEFAULT_TOL, _bilinear_orthogonalize, column_norms, eig_real, multi_clusters, real_mask,
-    real_matmul,
+    DEFAULT_TOL, column_norms, eig_arrays, orthogonalize_clusters, real_mask, real_matmul,
 )
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
@@ -165,7 +163,7 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     hr, hi = np.ascontiguousarray(hs.real), np.ascontiguousarray(hs.imag)
     m, residue, q, plus = _krein_frame(hr, hi, ps)
     _check_real_frame(residue, hr, hi)
-    w, x, _ = eig_real(m, tol)
+    w, x, _ = eig_arrays(m, tol)
     n, d = w.shape
 
     real = real_mask(w, m)
@@ -178,10 +176,7 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
         basis = np.where(w.imag[:, None, :] > 0.0, x.imag, x.real)
         fixed = np.where(pair[:, None, :], basis / column_norms(basis)[:, None, :], x)
     v = _frame_vectors(q, plus, fixed)
-    exceptional = np.zeros(n, dtype=bool)
-    for row, runs in multi_clusters(w, m).items():
-        kept = [_bilinear_orthogonalize(v[row], cols) for cols in runs]
-        exceptional[row] = not all(kept)
+    exceptional = ~orthogonalize_clusters(w, v, m)
 
     # v^T v = x^T J x: real for a PT-fixed v, and 1/kappa of its eigenvalue
     norms = np.einsum("nik,nik->nk", v, v)
@@ -263,20 +258,6 @@ def _frame_vectors(q: np.ndarray, plus: np.ndarray, x: np.ndarray) -> np.ndarray
     return real_matmul(q, np.where(plus[..., :, None], x, 1j * x))
 
 
-def pt_norm_signature(sys: PTSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Signs of the PT self-products of the PT-fixed eigenvectors.
-
-    The multiset equals the parity's eigenvalue signs; the order along the
-    spectrum depends on the parameters and is not guaranteed.
-    """
-    data = classify_phase(sys, tol)
-    if data.phase is Phase.BROKEN:
-        raise BrokenPhaseError("PT-norm signs are defined only in the unbroken phase")
-    if data.phase is Phase.EXCEPTIONAL:
-        raise ExceptionalPointError("no PT-norm signs at an exceptional point")
-    return data.pt_norm_signs.copy()
-
-
 def find_unbroken_seeds(
     dim: int,
     signature: tuple[int, int],
@@ -324,7 +305,7 @@ def find_unbroken_seeds(
         seeds = range(seed, min(seed + size, end))
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
         frames = block_frame(draws, m_plus, m_minus)
-        w, _, _ = eig_real(frames, tol)
+        w, _, _ = eig_arrays(frames, tol)
         for s in np.asarray(seeds)[real_mask(w, frames).all(axis=1)].tolist():
             if classify_phase(random_pt_system(dim, signature, s), tol).phase is Phase.UNBROKEN:
                 found.append(s)

@@ -184,7 +184,7 @@ def test_criterion_4_symmetry_algebra_invariants(capsys):
 def test_criterion_5_norm_sign_signature(capsys):
     orderings = set()
     for sys_ in unbroken_systems(8, 6, 2, 50):
-        signs = pt.pt_norm_signature(sys_)
+        signs = pt.classify_phase(sys_).pt_norm_signs
         assert sorted(signs) == [-1, -1] + [1] * 6
         orderings.add(tuple(int(s) for s in signs))
     assert len(orderings) >= 2, orderings

@@ -404,13 +404,22 @@ def test_sweep_grid_past_the_float_range_is_silent(tmp_path, capsys):
 
 
 def test_two_level_sweep_overflow_is_silent(capsys):
-    # near 1e300 the residual norms overflow; the residual bound rejects the
-    # block, and no RuntimeWarning is printed before it
+    # the first failing point is s = 1e298, where the residual's sum of
+    # squares overflows; the residual bound rejects it with the true figure,
+    # and no RuntimeWarning is printed before it
     argv = ["sweep", "--t", "1", "--param", "s", "--lo", "0", "--hi", "1e300", "--step", "1e298"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: eigenpair residual inf above tolerance")
-    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: eigenpair residual ") and err.count("\n") == 1
+    # dgeev's own eigenpairs of the point's real Krein frame, their residual
+    # vectors scaled by 1/s before their squares are summed
+    s = 1e298
+    h = pt.h2(pt.TwoByTwoParams(0.0, s, 1.0, np.pi / 2))[None]
+    m = pt.spectral._krein_frame(np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag),
+                                 pt.p2(np.pi / 2))[0][0]
+    w, x = np.linalg.eig(m)
+    want = s * np.linalg.norm((m @ x - x * w) / s, axis=0).max()
+    assert float(err.split()[4]) == pytest.approx(want, rel=1e-3)
 
 
 def test_sweep_rows_match_fmt17_rows():
@@ -600,15 +609,13 @@ def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, comman
 
     src = tmp_path / "sys.json"
     write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
-    wrapped = {name: counting(name, getattr(pt.linalg, name)) for name in ("eig_arrays", "eig_real")}
+    counted = counting("eig_arrays", pt.linalg.eig_arrays)
     for module in (pt.linalg, pt.spectral, pt.dynamics):
-        for name, counted in wrapped.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, "eig_arrays", counted)
     argv = [command, "--input", str(src), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == ["eig_real"] * solves
+    assert calls == ["eig_arrays"] * solves
 
 
 def test_evolve_asymmetric_solves_once(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 import ptmatrix as pt
 from ptmatrix.dynamics import TIME_BLOCK
-from ptmatrix.linalg import diagonalize, eig_arrays
+from ptmatrix.linalg import eig_arrays
 
 from conftest import random_state, unbroken_system
 
@@ -11,54 +11,105 @@ ASYM = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
 
 
 def test_evolve_zero_time(rng):
-    sys = unbroken_system(3, 2, 1, 0)
+    data = pt.classify_phase(unbroken_system(3, 2, 1, 0))
     a = random_state(rng, 3)
-    np.testing.assert_allclose(pt.evolve(sys, a, 0.0), a, atol=1e-12)
+    np.testing.assert_allclose(pt.evolve(data, a, 0.0), a, atol=1e-12)
 
 
 def test_evolve_eigenstate_phase():
-    sys = unbroken_system(4, 2, 2, 0)
-    data = pt.classify_phase(sys)
+    data = pt.classify_phase(unbroken_system(4, 2, 2, 0))
     for value, vector in zip(data.w, data.v.T):
-        got = pt.evolve(sys, vector, 2.3)
+        got = pt.evolve(data, vector, 2.3)
         want = np.exp(-1j * value * 2.3) * vector
         assert np.linalg.norm(got - want) <= 1e-9
 
 
 def test_evolve_inverse(rng):
-    sys = unbroken_system(4, 2, 2, 1)
+    data = pt.classify_phase(unbroken_system(4, 2, 2, 1))
     a = random_state(rng, 4)
-    back = pt.evolve(sys, pt.evolve(sys, a, 1.9), -1.9)
+    back = pt.evolve(data, pt.evolve(data, a, 1.9), -1.9)
     assert np.linalg.norm(back - a) <= 1e-8
 
 
+def test_evolve_group_law(rng):
+    data = pt.classify_phase(unbroken_system(4, 2, 2, 1))
+    a = random_state(rng, 4)
+    lhs = pt.evolve(data, pt.evolve(data, a, 0.8), 1.3)
+    assert np.linalg.norm(lhs - pt.evolve(data, a, 2.1)) <= 1e-10
+
+
 def test_evolve_linearity(rng):
-    sys = unbroken_system(3, 2, 1, 1)
+    data = pt.classify_phase(unbroken_system(3, 2, 1, 1))
     a, b = random_state(rng, 3), random_state(rng, 3)
     al, be = 0.7 - 0.2j, -0.4 + 1.1j
-    lhs = pt.evolve(sys, al * a + be * b, 1.3)
-    rhs = al * pt.evolve(sys, a, 1.3) + be * pt.evolve(sys, b, 1.3)
+    lhs = pt.evolve(data, al * a + be * b, 1.3)
+    rhs = al * pt.evolve(data, a, 1.3) + be * pt.evolve(data, b, 1.3)
     assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
 def test_evolve_exceptional_raises():
     h = pt.h2(pt.TwoByTwoParams(0.0, 1.0, 1.0, 0.4))
-    sys = pt.pt_system_from_matrices(h, pt.p2(0.4))
+    data = pt.classify_phase(pt.pt_system_from_matrices(h, pt.p2(0.4)))
     with pytest.raises(pt.ExceptionalPointError):
-        pt.evolve(sys, np.array([1.0, 0.0]), 1.0)
+        pt.evolve(data, np.array([1.0, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
 def test_evolve_non_finite_time_rejected(rng, t):
-    sys = unbroken_system(4, 2, 2, 0)
+    data = pt.classify_phase(unbroken_system(4, 2, 2, 0))
     with pytest.raises(ValueError, match="must be finite"):
-        pt.evolve(sys, random_state(rng, 4), t)
+        pt.evolve(data, random_state(rng, 4), t)
+    with pytest.raises(ValueError, match="must be finite"):
+        pt.evolve(data, random_state(rng, 4), np.array([0.0, t]))
 
 
 def test_evolve_overflow_raises(rng):
-    sys = unbroken_system(4, 2, 2, 0)
+    # the eigenvalues of an unbroken H are exactly real, so the state stays
+    # finite until w t overflows: max|w| = 1.33 here
+    data = pt.classify_phase(unbroken_system(4, 2, 2, 0))
     with pytest.raises(pt.ConvergenceError, match="not finite"):
-        pt.evolve(sys, random_state(rng, 4), 1e308)
+        pt.evolve(data, random_state(rng, 4), 1.7e308)
+
+
+def test_evolve_times_match_scalar_calls(rng):
+    data = pt.classify_phase(unbroken_system(8, 6, 2, 0))
+    a = random_state(rng, 8)
+    times = np.linspace(-3.0, 40.0, 57)
+    got = pt.evolve(data, a, times)
+    want = np.stack([pt.evolve(data, a, float(t)) for t in times])
+    assert got.shape == (57, 8)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    with pytest.raises(pt.ConvergenceError, match=r"not finite at t = 1\.7e\+308$"):
+        pt.evolve(data, a, np.array([0.0, 1.0, 1.7e308]))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_evolve_matches_unitarity_trace(rng, index):
+    # the bound is fixed from the trace test against the per-step loop below:
+    # both sum the same products in another order
+    sys = unbroken_system(8, 6, 2, index)
+    data = pt.classify_phase(sys)
+    c = pt.build_c_operator(sys)
+    a, b = random_state(rng, 8), random_state(rng, 8)
+    trace = pt.unitarity_trace(data, sys.p, c, a, b, t_max=25.0, steps=LOOP_STEPS)
+    at, bt = pt.evolve(data, a, trace.times), pt.evolve(data, b, trace.times)
+    got = np.array([pt.cpt_inner(x, y, c, sys.p) for x, y in zip(at, bt)])
+    ref = trace.inner_products
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_evolve_broken_system_matches_eig_reference(rng):
+    # growing and decaying modes exp(+-sqrt(3) t): no conserved product to check against
+    h = pt.h2(pt.TwoByTwoParams(0.3, 2.0, 1.0, 0.7))
+    data = pt.classify_phase(pt.pt_system_from_matrices(h, pt.p2(0.7)))
+    assert data.phase is pt.Phase.BROKEN
+    w, v = np.linalg.eig(h)
+    vinv = np.linalg.inv(v)
+    a = random_state(rng, 2)
+    times = np.linspace(0.0, 3.0, 31)
+    want = np.stack([v @ (np.exp(-1j * w * t) * (vinv @ a)) for t in times])
+    got = pt.evolve(data, a, times)
+    assert np.max(np.abs(got - want), axis=1).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unitarity_trace_eigenstate_constant():
@@ -138,7 +189,8 @@ LOOP_STEPS = 2 * TIME_BLOCK + 3  # crosses two block edges, ends in a partial bl
 
 
 def _step_propagator(h):
-    w, v, vinv = diagonalize(h, pt.DEFAULT_TOL)
+    w, v = np.linalg.eig(h)
+    vinv = np.linalg.inv(v)
     return lambda state, t: v @ (np.exp(-1j * w * t) * (vinv @ state))
 
 

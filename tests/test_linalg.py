@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmatrix as pt
-from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays, eig_real
+from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays, orthogonalize_clusters
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -61,10 +61,10 @@ def test_lapack_failure_raises_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", fail)
     with pytest.raises(pt.ConvergenceError, match="zgeev did not converge for dimension 3") as info:
-        pt.eig_arrays(np.eye(3))
+        pt.eig_arrays(np.eye(3, dtype=complex))
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     with pytest.raises(pt.ConvergenceError, match="dgeev did not converge for dimension 3") as info:
-        eig_real(np.eye(3)[None])
+        pt.eig_arrays(np.eye(3)[None])
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -78,31 +78,39 @@ def test_residual_contract(dim, rng):
             np.testing.assert_allclose(np.linalg.norm(v[:, k]), 1.0, atol=1e-12)
 
 
+def _scaled_residual(h, s):
+    """The largest residual norm of zgeev's own eigenpairs of h, with the
+    residual vectors scaled by 1/s before their squares are summed."""
+    w, v = np.linalg.eig(h)
+    return s * np.linalg.norm((h @ v - v * w) / s, axis=0).max()
+
+
 @pytest.mark.parametrize("m,bad", [
-    ([[1e300, 1e300j], [1e300j, -1e300]], "inf"),  # the residual overflows
+    ([[1e300, 1e300j], [1e300j, -1e300]], "finite"),  # the residual's sum of squares overflows
     ([[1.7e308, 1e308], [1e308, 1.7e308]], "nan"),  # an eigenvalue is inf
 ])
 def test_overflowing_residual_is_rejected_without_warning(m, bad):
-    with pytest.raises(pt.ConvergenceError, match=f"eigenpair residual {bad} above tolerance"):
-        eig_arrays(np.array(m, dtype=complex))
+    h = np.array(m, dtype=complex)
+    with pytest.raises(pt.ConvergenceError, match="above tolerance") as exc:
+        eig_arrays(h)
+    figure = str(exc.value).split()[2]
+    if bad == "nan":
+        assert figure == "nan"
+    else:
+        assert float(figure) == pytest.approx(_scaled_residual(h, 1e300), rel=1e-3)
 
 
 @pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
 def test_overflowing_cluster_gap_keeps_the_residual(s):
     # ||H||_F^2 overflows here; the cluster gap must not become inf, which
     # would join both eigenvalues into one cluster and have the orthogonalizer
-    # rewrite the columns (the message then read "residual 1.000e+00")
+    # rewrite the columns (the message then read "residual 1.000e+00"), and
+    # the residual's own sum of squares overflows past s = 1e154
     h = pt.h2(pt.TwoByTwoParams(0.0, s, 1.0, np.pi / 2))
     with pytest.raises(pt.ConvergenceError) as exc:
         eig_arrays(h)
     figure = float(str(exc.value).split()[2])
-    # zgeev's own eigenpairs, their residuals computed on h / s, where nothing overflows
-    w, v = np.linalg.eig(h / s)
-    want = s * np.linalg.norm((h / s) @ v - v * w, axis=0).max()
-    if want < np.sqrt(np.finfo(float).max):
-        assert figure == pytest.approx(want, rel=1e-2)
-    else:  # the sum of squares of the residual vector overflows
-        assert figure == np.inf
+    assert figure == pytest.approx(_scaled_residual(h, s), rel=1e-3)
 
 
 def test_frobenius_norms_of_large_entries_stay_finite():
@@ -111,21 +119,30 @@ def test_frobenius_norms_of_large_entries_stay_finite():
     gap = CLUSTER_REL_GAP * np.sqrt(11.0) * 1e200
     w = np.array([0.0, 0.5 * gap, 3.0 * gap], dtype=complex)
     assert clusters(w, m[0]) == [range(0, 2), range(2, 3)]
+    # column norms re-sum only the columns whose sum of squares overflows
+    with np.errstate(over="ignore"):
+        got = pt.linalg.column_norms(np.concatenate([m, 1j * m]))
+    want = [[np.sqrt(10.0) * 1e200, 1e200], [3.0, 4.0]] * 2
+    np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 def test_eig_real_overflowing_residual_is_rejected_without_warning():
     m = np.array([[[1.7e308, 1e308], [1e308, 1.7e308]]])  # an eigenvalue is inf
     with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above tolerance"):
-        eig_real(m)
+        eig_arrays(m)
 
 
-def test_eig_real_rejects_complex_or_unstacked_input():
-    with pytest.raises(ValueError, match="real"):
-        eig_real(np.eye(2, dtype=complex)[None])
-    with pytest.raises(ValueError, match="real"):
-        eig_real(np.eye(2))
-    with pytest.raises(ValueError, match="NaN"):
-        eig_real(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+def test_real_input_is_solved_by_dgeev_with_exact_conjugate_pairs(rng):
+    m = rng.uniform(-1, 1, (64, 5, 5))
+    w, x, res = eig_arrays(m)
+    assert w.dtype == np.complex128 and x.flags.c_contiguous and res.max() <= 1e-10
+    for row_w, row_x in zip(w, x):
+        for k in np.flatnonzero(row_w.imag < 0.0):
+            # a conjugate pair sorts -Im first; its partner is the exact conjugate
+            assert row_w[k + 1] == row_w[k].conjugate()
+            np.testing.assert_array_equal(row_x[:, k + 1], row_x[:, k].conj())
+    _, x_real, _ = eig_arrays(np.diag([3.0, 1.0, 2.0]))
+    assert x_real.dtype == np.float64
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -150,11 +167,25 @@ def test_eigenvalue_sum_is_trace(dim, seed):
     assert abs(w.sum() - np.trace(m)) <= 1e-9
 
 
-def test_degenerate_cluster_is_bilinear_orthogonal():
-    w, v, _ = eig_arrays(np.eye(3, dtype=complex))
+def test_degenerate_cluster_is_bilinear_orthogonal(rng):
+    # H = O diag(1, 1, 2) O^T with O complex orthogonal (a Cayley transform of
+    # a complex antisymmetric K) is complex symmetric, and zgeev's basis of
+    # its double eigenvalue is not orthogonal under v^T w
+    k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    k = 0.5 * (k - k.T)
+    o = np.linalg.solve(np.eye(3) - k, np.eye(3) + k)
+    h = o @ np.diag([1.0, 1.0, 2.0]) @ o.T
+    w, v, _ = eig_arrays(h)
+    assert abs(v[:, 0] @ v[:, 1]) > 1e-3
+    assert orthogonalize_clusters(w[None], v[None], h[None]).tolist() == [True]
     for i in range(3):
         for j in range(i + 1, 3):
             assert abs(v[:, i] @ v[:, j]) <= 1e-10
+    np.testing.assert_allclose(h @ v, v * w, atol=1e-10)
+    # a Jordan block has one eigendirection: its cluster cannot be orthogonalized
+    jordan = np.eye(4, k=1) + 2 * np.eye(4)
+    w, v, _ = eig_arrays(jordan.astype(complex))
+    assert orthogonalize_clusters(w[None], v[None], jordan[None]).tolist() == [False]
 
 
 def test_clusters_split_just_above_the_gap():
@@ -172,6 +203,8 @@ def test_eigendecompose_rejects_bad_input():
         eig_arrays(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eig_arrays(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="NaN"):
+        eig_arrays(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 def test_eigendecompose_solves_beyond_64():
@@ -182,48 +215,16 @@ def test_eigendecompose_solves_beyond_64():
     np.testing.assert_array_equal(w, np.sort(diag))
 
 
-def test_mat_exp_zero_time(rng):
-    m = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
-    np.testing.assert_allclose(pt.mat_exp_times(m, 0.0), np.eye(3), atol=1e-12)
-
-
-def test_mat_exp_diagonal():
-    eps = np.array([0.7, -1.2])
-    got = pt.mat_exp_times(np.diag(eps).astype(complex), -1.7j)
-    np.testing.assert_allclose(got, np.diag(np.exp(-1.7j * eps)), atol=1e-12)
-
-
-def test_mat_exp_group_inverse(rng):
-    for _ in range(20):
-        r_, t_ = rng.uniform(-1, 1), rng.uniform(0.5, 1.5)
-        s_ = rng.uniform(-0.9, 0.9) * t_
-        h = pt.h2(pt.TwoByTwoParams(r_, s_, t_, rng.uniform(0, 2 * np.pi)))
-        prod = pt.mat_exp_times(h, -1j) @ pt.mat_exp_times(h, 1j)
-        assert pt.max_abs(prod - np.eye(2)) <= 10 * 1e-10
-
-
-def test_mat_exp_additivity(rng):
-    m = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    lhs = pt.mat_exp_times(m, 0.3 - 0.2j) @ pt.mat_exp_times(m, 0.5 + 0.1j)
-    rhs = pt.mat_exp_times(m, 0.8 - 0.1j)
-    assert pt.max_abs(lhs - rhs) <= 1e-8
-
-
-def test_mat_exp_defective_raises():
-    h = pt.h2(pt.TwoByTwoParams(0.0, 1.0, 1.0, 0.3))  # coalescence point
-    with pytest.raises(pt.ExceptionalPointError):
-        pt.mat_exp_times(h, -1j)
-
-
 def test_defective_input_keeps_residual_contract():
     # only one eigendirection exists; it is returned (repeated) with a tiny
-    # residual, and the exponential flags the singular eigenvector matrix
+    # residual, and inverting the eigenvector matrix flags it as singular
     jordan = np.eye(4, k=1) + 2 * np.eye(4)
-    w, _, res = eig_arrays(jordan)
-    assert res.max() <= 1e-12
-    np.testing.assert_allclose(w, [2.0] * 4, atol=1e-8)
-    with pytest.raises(pt.ExceptionalPointError):
-        pt.mat_exp_times(jordan, 1.0)
+    for m in (jordan, jordan.astype(complex)):
+        w, v, res = eig_arrays(m)
+        assert res.max() <= 1e-12
+        np.testing.assert_allclose(w, [2.0] * 4, atol=1e-8)
+        with pytest.raises(pt.ExceptionalPointError):
+            pt.linalg.eigvec_inverse(v)
 
 
 def test_predicates():

@@ -171,10 +171,10 @@ def test_scan_rejects_bad_arguments_before_drawing(no_draws, args, kwargs, messa
 
 
 def test_scan_prescreens_each_block_with_one_eigensolve(monkeypatch):
-    # eig_real serves both the prescreen and classify_stack: a call made
+    # eig_arrays serves both the prescreen and classify_stack: a call made
     # inside classify_stack counts as a candidate's classification
     rows, classified, inside = [], [], []
-    original, original_stack = pt.spectral.eig_real, pt.spectral.classify_stack
+    original, original_stack = pt.spectral.eig_arrays, pt.spectral.classify_stack
 
     def counted(m, tol):
         (classified if inside else rows).append(m.shape[0])
@@ -187,7 +187,7 @@ def test_scan_prescreens_each_block_with_one_eigensolve(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(pt.spectral, "eig_real", counted)
+    monkeypatch.setattr(pt.spectral, "eig_arrays", counted)
     monkeypatch.setattr(pt.spectral, "classify_stack", counted_stack)
     want = UNBROKEN_SEEDS[(5, 3, 2)]
     assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
@@ -211,7 +211,7 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
     seeds = [*range(4096), *frozen]
     draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
     frames = pt.construct.block_frame(draws, mp, mm)
-    w, _, res = pt.linalg.eig_real(frames, tol)
+    w, _, res = pt.eig_arrays(frames, tol)
     h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
     wc, _, resc = pt.eig_arrays(h0, tol)
     mask = pt.linalg.real_mask(w, frames).all(axis=1)
@@ -232,28 +232,27 @@ def test_scan_prescreen_keeps_the_residual_bound():
     # block entries of about 1e7 put the residuals near 1e-9, above the absolute tol
     draws = 1e7 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, pt.construct.block_draw_count(6, 2)))
     with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-10"):
-        pt.linalg.eig_real(pt.construct.block_frame(draws, 6, 2), 1e-10)
+        pt.eig_arrays(pt.construct.block_frame(draws, 6, 2), 1e-10)
     # in a scan, the failing prescreen raises for the whole block
     with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-18"):
         pt.find_unbroken_seeds(8, (6, 2), 1, tol=1e-18)
 
 
 def test_pt_norm_signature_two_level():
-    signs = pt.pt_norm_signature(two_level_system(0.4, 0.3, 1.0, 2.2))
+    signs = pt.classify_phase(two_level_system(0.4, 0.3, 1.0, 2.2)).pt_norm_signs
     assert sorted(signs) == [-1, 1]
 
 
 def test_pt_norm_signature_positive_parity(rng):
     a = rng.uniform(-1, 1, (3, 3))
     sys = pt.pt_system_from_matrices((a + a.T) / 2, np.eye(3))
-    assert list(pt.pt_norm_signature(sys)) == [1, 1, 1]
+    assert list(pt.classify_phase(sys).pt_norm_signs) == [1, 1, 1]
 
 
-def test_pt_norm_signature_broken_raises():
-    with pytest.raises(pt.BrokenPhaseError):
-        pt.pt_norm_signature(two_level_system(0.0, 2.0, 1.0, 0.0))
-    with pytest.raises(pt.ExceptionalPointError):
-        pt.pt_norm_signature(two_level_system(0.0, 1.0, 1.0, 0.0))
+def test_pt_norm_signs_only_in_the_unbroken_phase():
+    for s, phase in ((2.0, pt.Phase.BROKEN), (1.0, pt.Phase.EXCEPTIONAL)):
+        data = pt.classify_phase(two_level_system(0.0, s, 1.0, 0.0))
+        assert data.phase is phase and data.pt_norm_signs is None
 
 
 def test_degenerate_spectrum_still_unbroken():
@@ -519,7 +518,7 @@ def test_real_products_match_the_complex_formulas(name):
     m_ref, qs = _complex_frame(h, p)
     assert np.abs(m - m_ref.real).max() <= 1e-13 * scale
     assert np.abs(residue - m_ref.imag).max() <= 1e-13 * scale
-    w, x, res = pt.linalg.eig_real(m)
+    w, x, res = pt.eig_arrays(m)
     assert np.abs(res - _complex_residuals(m, x, w)).max() <= 1e-13 * scale
     assert np.abs(spectral._frame_vectors(q, plus, x) - qs @ x).max() <= 1e-14
     got = pt.classify_stack(h, p)
