@@ -36,6 +36,7 @@ from .errors import BrokenPhaseError, ConvergenceError, ExceptionalPointError
 from .linalg import DEFAULT_TOL, is_symmetric, max_abs
 from .serialize import (
     block_form_from_obj,
+    dumps,
     fmt17,
     format_rows,
     matrix_to_obj,
@@ -194,11 +195,7 @@ def cmd_analyze(args) -> int:
         report["invariant_residuals"]["c_pt_commutation"] = max_abs(
             sys_.p @ c.conj() @ sys_.p - c
         )
-    if args.out:
-        write_json(args.out, report)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(report, indent=2))
+    _emit(dumps(report), args.out)
     return EXIT_OK
 
 

@@ -276,9 +276,10 @@ def find_unbroken_seeds(
     block_frame), which is unitarily similar to H0 = [[A, iB], [iB^T, C]], so
     it keeps H0's eigenvalues and eigenpair residuals at real arithmetic's
     cost. The seeds whose M has a real spectrum (linalg.real_mask, the test
-    classify_phase applies) are then classified one by one, in seed order, and the scan stops at the count-th unbroken one. An
-    eigenpair residual above tol (ConvergenceError) raises for the whole
-    block that holds the failing seed.
+    classify_phase applies) are then classified one by one, in seed order,
+    and the scan stops at the count-th unbroken one. An eigenpair residual
+    above tol (ConvergenceError) raises for the whole block that holds the
+    failing seed.
 
     Raises ValueError, before drawing any seed, for a start_seed, count or
     max_trials that is not a non-negative integer, a dim below 1, or a

@@ -169,6 +169,16 @@ def test_analyze_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_stdout_equals_out_file(tmp_path, capsysbinary):
+    src, rpt = tmp_path / "in.json", tmp_path / "report.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    assert main(["analyze", "--input", str(src)]) == 0
+    printed = capsysbinary.readouterr().out
+    assert main(["analyze", "--input", str(src), "--out", str(rpt)]) == 0
+    assert capsysbinary.readouterr().out == f"wrote {rpt}\n".encode()
+    assert printed == rpt.read_bytes()
+
+
 def test_sweep_phase_boundary(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--param", "s", "--r", "0", "--t", "1", "--phi", "0.9",

@@ -1,7 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptmatrix as pt
 from ptmatrix import serialize as ser
@@ -101,8 +104,6 @@ def test_spectral_to_obj_fields():
 
 
 def test_trace_csv_format(rng, tmp_path):
-    import io
-
     sys = pt.random_pt_system(2, (1, 1), 3)
     data = pt.classify_phase(sys)
     if data.phase is not pt.Phase.UNBROKEN:
@@ -119,35 +120,92 @@ def test_trace_csv_format(rng, tmp_path):
     assert float(first[0]) == 0.0
 
 
-def test_trace_csv_matches_fmt17_rows():
-    import io
-
-    times = np.array([0.0, 1e-300, 0.1, 1e300, 2.5, 7.0])
-    vals = np.array(
-        [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e300, -1e300),
-         complex(np.inf, -np.inf), complex(np.nan, 0.1), complex(1 / 3, -2 / 3)]
+def fmt17_rows(trace: pt.EvolutionTrace) -> str:
+    """write_trace_csv's text, one fmt17 call per field."""
+    return "t,re_inner,im_inner\n" + "".join(
+        f"{ser.fmt17(t)},{ser.fmt17(z.real)},{ser.fmt17(z.imag)}\n"
+        for t, z in zip(trace.times, trace.inner_products)
     )
-    trace = pt.EvolutionTrace(times=times, inner_products=vals, max_drift=0.0)
+
+
+def trace_csv(trace: pt.EvolutionTrace) -> str:
     buf = io.StringIO()
     ser.write_trace_csv(buf, trace)
-    want = "t,re_inner,im_inner\n" + "".join(
-        f"{ser.fmt17(t)},{ser.fmt17(z.real)},{ser.fmt17(z.imag)}\n" for t, z in zip(times, vals)
-    )
-    assert buf.getvalue() == want
+    return buf.getvalue()
+
+
+def assert_same_rows(got: str, want: str) -> None:
+    # compared as lists of lines, a mismatch reports its first differing row
+    # instead of a diff of the whole text
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def complex_from_parts(re, im) -> np.ndarray:
+    """A complex array with these exact real and imaginary bits (re + 1j*im
+    would turn 0 * nan into nan)."""
+    z = np.empty(len(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def test_trace_csv_matches_fmt17_rows():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    times = np.array([0.0, 1e-300, 0.1, 1e300, 2.5, 7.0] + [8.0] * 6)
+    vals = np.concatenate([
+        [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e300, -1e300),
+         complex(np.inf, -np.inf), complex(np.nan, 0.1), complex(1 / 3, -2 / 3)],
+        # equal floats with different bits, each repeated across rows: a
+        # signed zero in the real column, two NaN payloads in the imaginary one
+        complex_from_parts(np.tile([-0.0, 0.0], 3), np.tile(nans, 3)),
+    ])
+    assert np.unique(vals.imag.view(np.int64)[6:]).size == 2
+    trace = pt.EvolutionTrace(times=times, inner_products=vals, max_drift=0.0)
+    want = fmt17_rows(trace)
+    assert trace_csv(trace) == want
     assert ",-0," in want and "e-324" in want and "inf" in want and "nan" in want
+    assert "\n8,-0,nan\n8,0,nan\n" in want
 
 
 def test_trace_csv_block_edges_match_fmt17_rows(rng):
-    import io
-
     # two full blocks of TIME_BLOCK rows and a short third one
     steps = 2 * TIME_BLOCK + 3
     times = np.linspace(0.0, 10.0, steps)
     vals = rng.standard_normal(steps) + 1j * rng.standard_normal(steps)
     trace = pt.EvolutionTrace(times=times, inner_products=vals, max_drift=0.0)
-    buf = io.StringIO()
-    ser.write_trace_csv(buf, trace)
-    want = "t,re_inner,im_inner\n" + "".join(
-        f"{ser.fmt17(t)},{ser.fmt17(z.real)},{ser.fmt17(z.imag)}\n" for t, z in zip(times, vals)
-    )
-    assert buf.getvalue() == want
+    assert_same_rows(trace_csv(trace), fmt17_rows(trace))
+    # single precision prints each value's exact double, as fmt17 does
+    narrow = pt.EvolutionTrace(times.astype(np.float32), vals.astype(np.complex64), 0.0)
+    assert_same_rows(trace_csv(narrow), fmt17_rows(narrow))
+
+
+# values that print in every %.17g form: subnormals, signed zeros, infinities,
+# NaN, the extremes of the exponent and ordinary fractions
+VALUE_POOL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan,
+    1e300, -1e300, 1.7976931348623157e308, 1 / 3, -2 / 3, 0.1, 1.0, -1.0, 123456789.0,
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(min_value=1, max_value=2 * TIME_BLOCK + 3),
+    pools=st.lists(st.lists(st.sampled_from(VALUE_POOL), min_size=1, max_size=6),
+                   min_size=3, max_size=3),
+)
+def test_trace_csv_of_repeating_values_matches_fmt17_rows(rows, pools):
+    # each column cycles through a few values, so they repeat within and
+    # across blocks
+    t, re, im = (np.resize(np.array(pool), rows) for pool in pools)
+    trace = pt.EvolutionTrace(times=t, inner_products=complex_from_parts(re, im), max_drift=0.0)
+    assert_same_rows(trace_csv(trace), fmt17_rows(trace))
+
+
+def test_trace_csv_of_a_conserved_trace_matches_fmt17_rows():
+    # a real CPT trace, whose conserved columns repeat, across two block edges
+    sys = pt.random_pt_system(8, (6, 2), 13108)
+    data = pt.classify_phase(sys)
+    c = pt.c_operator(data, sys.p)
+    a = np.random.default_rng(0).standard_normal(8) + 0j
+    trace = pt.unitarity_trace(data, sys.p, c, a, a, steps=2 * TIME_BLOCK + 3)
+    assert np.unique(trace.inner_products.real).size < TIME_BLOCK
+    assert_same_rows(trace_csv(trace), fmt17_rows(trace))
