@@ -27,9 +27,7 @@ import numpy as np
 from .algebra import build_weight_matrix
 from .construct import validate_parity
 from .errors import ConvergenceError
-from .linalg import (
-    DEFAULT_TOL, as_matrix, eig_arrays, eigvec_inverse, max_abs, orthogonalize_clusters,
-)
+from .linalg import DEFAULT_TOL, as_matrix, eig_arrays, eigvec_inverse, max_abs
 from .spectral import SpectralData, pt_apply
 
 COMMUTATOR_REL_THRESHOLD = 1e-3
@@ -172,13 +170,17 @@ def nonunitarity_demo(
     The weight W is fixed by demanding the eigenvector basis be orthonormal
     under it, so the sampled product equals (a,0| e^{iHt} W e^{-iHt} |b,0).
     When [W, H] is above threshold the product must drift; below threshold
-    (e.g. the symmetric control case, where W coincides with the C operator)
-    the result is flagged inconclusive and the drift stays at round-off level.
+    (e.g. the symmetric control case) the result is flagged inconclusive and
+    the drift stays at round-off level.
+
+    W = V B^-1 V^-1 with B the PT Gram matrix of zgeev's eigenvectors, so
+    [W, H] = V [B^-1, diag(w)] V^-1 is 0 for a B block-diagonal over
+    eigenvalue clusters (the symmetric control case) whatever basis a
+    degenerate cluster has; W is C there only with no degenerate eigenvalue.
     """
     h = as_matrix(h_asym)
     pm = validate_parity(p, tol)
     w, v, _ = eig_arrays(h, tol)
-    orthogonalize_clusters(w[None], v[None], h[None])
     weight = build_weight_matrix([v[:, k] for k in range(h.shape[0])], pm)
     vinv = eigvec_inverse(v)
     comm = max_abs(weight @ h - h @ weight)

@@ -6,14 +6,14 @@ stack, LAPACK dgeev for a real input and zgeev for a complex one, with the
 eigenpairs sorted by (Re, Im) and their residuals checked. dgeev returns a
 real eigenvalue with an imaginary part of exactly 0, so real_mask, the one
 test of which eigenvalues count as real, is structural up to a cluster gap.
-orthogonalize_clusters makes the eigenvectors of each eigenvalue cluster
-orthogonal under the bilinear product v^T w, the product all PT machinery
-downstream is built on, and eigvec_inverse inverts an eigenvector matrix
-unless it is numerically singular.
+clusters and multi_clusters group sorted eigenvalues within that gap (the
+caller gives each cluster one basis; see spectral.classify_stack), and
+eigvec_inverse inverts an eigenvector matrix unless it is numerically
+singular.
 
 Matrices are plain numpy arrays of float64 or complex128; everything here is
-a pure function of its inputs, apart from orthogonalize_clusters, which
-works in place.
+a pure function of its inputs. The cluster gap is relative to ||m||_F, which
+the caller computes once per stack (frobenius_norms) and passes in.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ COND_CAP = 1e8
 
 # eigenvalues closer than this (relative to ||m||_F) are treated as one cluster
 CLUSTER_REL_GAP = 1e-8
-# bilinear self-products below this floor are left alone by the cluster
-# orthogonalizer (isotropic direction: the exceptional-point signature)
-ISOTROPY_FLOOR = 1e-12
 
 
 def as_matrix(m) -> np.ndarray:
@@ -119,16 +116,17 @@ def _sorted_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return w[rows, order], v.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
 
 
-def real_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+def real_mask(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Which eigenvalues w (N, D) of a real (N, D, D) stack m count as real:
     those in one cluster with their conjugate, 2|Im w| <= CLUSTER_REL_GAP *
-    ||m||_F, the gap of multi_clusters.
+    ||m||_F, the gap of multi_clusters; norms (N,) holds each ||m||_F
+    (frobenius_norms).
 
     dgeev returns a real eigenvalue with an imaginary part of exactly 0, so
     the test is structural; the gap admits only a (near-)degenerate real
     eigenvalue that round-off split into a 2x2 Schur block of a tiny pair.
     """
-    return 2.0 * np.abs(w.imag) <= CLUSTER_REL_GAP * frobenius_norms(m)[:, None]
+    return 2.0 * np.abs(w.imag) <= CLUSTER_REL_GAP * norms[:, None]
 
 
 def _check_residuals(res: np.ndarray, tol: float) -> None:
@@ -191,69 +189,33 @@ def _rescaled_norms(squares: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return norms
 
 
-def clusters(w: np.ndarray, m: np.ndarray) -> list[range]:
+def clusters(w: np.ndarray, norm: float) -> list[range]:
     """Index runs of sorted eigenvalues w whose neighbours lie within
-    CLUSTER_REL_GAP * ||m||_F of each other."""
-    gap = CLUSTER_REL_GAP * max(float(frobenius_norms(np.asarray(m)[None])[0]), 1e-300)
+    CLUSTER_REL_GAP * norm of each other, norm being ||m||_F of their m."""
+    gap = CLUSTER_REL_GAP * max(float(norm), 1e-300)
     vals = w.tolist()
     cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
     edges = [0, *cuts, len(vals)] if vals else []
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def multi_clusters(w: np.ndarray, stack: np.ndarray) -> dict[int, list[range]]:
-    """{row: clusters(w[row], stack[row])} for the rows of an (N, D) stack of
-    sorted eigenvalues that hold a cluster of two or more.
+def multi_clusters(w: np.ndarray, norms: np.ndarray) -> dict[int, list[range]]:
+    """{row: clusters(w[row], norms[row])} for the rows of an (N, D) stack of
+    sorted eigenvalues that hold a cluster of two or more; norms (N,) holds
+    each row's ||m||_F.
 
     A vectorized screen, loose by a relative 1e-9 to cover the round-off of
-    numpy's complex abs and stacked norm, picks the candidate rows; the exact
-    walk of clusters decides each of them.
+    numpy's complex abs, picks the candidate rows; the exact walk of
+    clusters decides each of them.
     """
-    gap = CLUSTER_REL_GAP * frobenius_norms(stack)
+    gap = CLUSTER_REL_GAP * norms
     near = (np.abs(w[:, 1:] - w[:, :-1]) <= gap[:, None] * (1.0 + 1e-9)).any(axis=1)
     found = {}
     for row in near.nonzero()[0].tolist():
-        runs = clusters(w[row], stack[row])
+        runs = clusters(w[row], norms[row])
         if len(runs) < w.shape[1]:
             found[row] = runs
     return found
-
-
-def orthogonalize_clusters(w: np.ndarray, v: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Make the eigenvector columns v (N, D, D) of each eigenvalue cluster of
-    sorted eigenvalues w (N, D) of an (N, D, D) stack (see multi_clusters)
-    orthogonal under the bilinear product v^T w, in place. Returns one bool
-    per row, False where a column collapsed: a cluster with no basis of
-    eigenvectors (defective input)."""
-    kept = np.ones(w.shape[0], dtype=bool)
-    for row, runs in multi_clusters(w, stack).items():
-        kept[row] = all([_bilinear_orthogonalize(v[row], cols) for cols in runs])
-    return kept
-
-
-def _bilinear_orthogonalize(v: np.ndarray, cols: range) -> bool:
-    """Modified Gram-Schmidt under v^T v on one eigenvalue cluster, in place;
-    False when a column collapsed.
-
-    Isotropic pivots (|v^T v| below floor) are skipped, and a column that
-    collapses under projection (numerically dependent cluster: a defective
-    input) is reverted. An isotropic column is left for the caller's
-    exceptional-point check to find.
-    """
-    kept = True
-    for j in cols[1:]:
-        candidate = v[:, j].copy()
-        for i in range(cols.start, j):
-            den = v[:, i] @ v[:, i]
-            if abs(den) <= ISOTROPY_FLOOR:
-                continue
-            candidate -= ((v[:, i] @ candidate) / den) * v[:, i]
-        norm = np.linalg.norm(candidate)
-        if norm > 1e-8:
-            v[:, j] = candidate / norm
-        else:
-            kept = False
-    return kept
 
 
 def eigvec_inverse(v: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from .construct import (
     PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame, random_pt_system,
 )
 from .linalg import (
-    DEFAULT_TOL, column_norms, eig_arrays, orthogonalize_clusters, real_mask, real_matmul,
+    COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, frobenius_norms, multi_clusters, real_mask,
+    real_matmul,
 )
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
@@ -64,8 +65,9 @@ PHASE_OF_CODE = np.array(list(Phase), dtype=object)
 @dataclass(frozen=True)
 class SpectralData:
     """One row of a PhaseStack: eigenvalues w (D,), eigenvector columns v
-    (D, D), PT-fixed when unbroken, and their residuals (D,), plus the phase
-    verdict and (unbroken only) the PT-norm signs."""
+    (D, D), PT-fixed and orthogonal under v^T w within a cluster when
+    unbroken, and their residuals (D,), plus the phase verdict and (unbroken
+    only) the PT-norm signs."""
 
     w: np.ndarray
     v: np.ndarray
@@ -90,10 +92,10 @@ class PhaseStack:
     """Classification of an (N, D, D) stack of systems, one row per system.
 
     w (N, D) is sorted by (Re, Im), v (N, D, D) holds unit eigenvector
-    columns, PT-fixed in unbroken rows, and residuals (N, D) their eigenpair
-    residuals; codes (N,) holds each row's phase as an index into
-    PHASE_OF_CODE (the order of Phase), and signs the PT-norm signs of
-    unbroken rows and 0 elsewhere.
+    columns, PT-fixed in unbroken rows (see SpectralData), and residuals
+    (N, D) their eigenpair residuals; codes (N,) holds each row's phase as
+    an index into PHASE_OF_CODE (the order of Phase), and signs the PT-norm
+    signs of unbroken rows and 0 elsewhere.
     """
 
     w: np.ndarray
@@ -125,11 +127,12 @@ class PhaseStack:
 def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     """Unbroken, broken, or exceptional, with the spectrum and norm signs.
 
-    Exceptional: an eigenvector is numerically isotropic (|v^T v| below
-    EP_ISOTROPY_TOL with unit L2 norm), or an eigenvalue cluster has no
-    basis of eigenvectors. Broken: otherwise, when an eigenvalue is not real
-    (linalg.real_mask). Unbroken: all other systems; their eigenvectors are
-    PT-fixed. tol bounds the eigenpair residuals; see classify_stack.
+    Exceptional: an eigenvector as dgeev returns it is numerically isotropic
+    (|v^T v| below EP_ISOTROPY_TOL with unit L2 norm), or, with a real
+    spectrum, an eigenvalue cluster has no basis of eigenvectors. Broken:
+    otherwise, when an eigenvalue is not real (linalg.real_mask). Unbroken:
+    all other systems; their eigenvectors are PT-fixed. tol bounds the
+    eigenpair residuals; see classify_stack.
     """
     return classify_stack(sys.h[None], sys.p[None], tol).row(0)
 
@@ -139,12 +142,13 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     one (D, D) p serves every row of h.
 
     Each row is solved in its real Krein frame M = (QS)^H h (QS) (see the
-    module docstring), one batched dgeev call for the stack, and v = QSx.
-    Python runs per row only to orthogonalize eigenvalue clusters under
-    v^T v. The exceptional-point test |v^T v| < EP_ISOTROPY_TOL runs on the
-    orthogonalized vectors, which are dgeev's own outside clusters. The
-    reported residuals are those of h's eigenpairs (w, v); tol bounds those
-    of M, which equal them up to round-off, as QS is unitary.
+    module docstring), one batched dgeev call for the stack, and v = QSx is
+    formed once, at the end. The exceptional-point test |x^T J x| <
+    EP_ISOTROPY_TOL runs on dgeev's own columns x. Python runs per row only
+    to give each eigenvalue cluster of a real spectrum one basis under J
+    (_krein_basis). The reported residuals are those of h's eigenpairs
+    (w, v); tol bounds those of M, which equal them up to round-off, as QS
+    is unitary.
 
     The pairs are taken as given (see construct.check_pt_pairs). A failure in
     any row raises for the whole stack: ValueError for a non-finite entry or
@@ -166,7 +170,8 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     w, x, _ = eig_arrays(m, tol)
     n, d = w.shape
 
-    real = real_mask(w, m)
+    scale = frobenius_norms(m)
+    real = real_mask(w, scale)
     broken = ~real.all(axis=1)
     # a real eigenvalue has a real x; a pair (w, conj w) counted as real
     # spans Re x and Im x, taken from its -Im and +Im column
@@ -175,20 +180,27 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     if pair.any():
         basis = np.where(w.imag[:, None, :] > 0.0, x.imag, x.real)
         fixed = np.where(pair[:, None, :], basis / column_norms(basis)[:, None, :], x)
-    v = _frame_vectors(q, plus, fixed)
-    exceptional = ~orthogonalize_clusters(w, v, m)
-
-    # v^T v = x^T J x: real for a PT-fixed v, and 1/kappa of its eigenvalue
-    norms = np.einsum("nik,nik->nk", v, v)
-    exceptional |= (np.abs(norms) < EP_ISOTROPY_TOL).any(axis=1)
+    # v^T v = x^T J x: real for a PT-fixed v, and 1/kappa of its eigenvalue;
+    # 0 for a defective one, whose left eigenvector is Jx, so it is tested
+    # before a cluster's basis can mix an isotropic x away
+    sign = np.where(plus, 1.0, -1.0)[..., :, None]
+    norms = np.einsum("nik,nik->nk", sign * fixed, fixed)
+    exceptional = (np.abs(norms) < EP_ISOTROPY_TOL).any(axis=1)
+    found = {row: runs for row, runs in multi_clusters(w, scale).items()
+             if not broken[row] and not exceptional[row]}
+    if found:
+        # a cluster row that is not broken is real; each cluster gets one basis
+        fixed, row_sign = fixed.real.copy(), np.broadcast_to(sign, (n, d, 1))
+        for row, runs in found.items():
+            exceptional[row] = not all(
+                _krein_basis(fixed[row, :, c.start:c.stop], row_sign[row],
+                             norms[row, c.start:c.stop])
+                for c in runs if len(c) > 1)
     broken &= ~exceptional
     unbroken = ~exceptional & ~broken
-    if exceptional.any():
-        # an exceptional row keeps dgeev's eigenvectors: at an exceptional
-        # point Re x and Im x of a pair span a Jordan chain, not eigenvectors
-        rows = exceptional.nonzero()[0]
-        v[rows] = _frame_vectors(np.broadcast_to(q, (n, d, d))[rows],
-                                np.broadcast_to(plus, (n, d))[rows], x[rows])
+    # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
+    # Re x and Im x of a pair span a Jordan chain, not eigenvectors
+    v = _frame_vectors(q, plus, np.where(unbroken[:, None, None], fixed, x))
     # the leftover sign: the first entry within SIGN_TIE_RTOL of the largest
     # magnitude gets a positive real part, or a positive imaginary part when
     # its real part is 0
@@ -252,6 +264,24 @@ def _check_real_frame(residue: np.ndarray, hr: np.ndarray, hi: np.ndarray) -> No
         )
 
 
+def _krein_basis(xc: np.ndarray, sign: np.ndarray, norms: np.ndarray) -> bool:
+    """Replace the unit columns xc (D, k) of one real eigenvalue cluster by
+    a basis of their span orthonormal and orthogonal under J (J's diagonal
+    in sign, (D, 1)), and norms (k,) by its x^T J x, in place. False, with
+    nothing changed, for columns with cond > COND_CAP: no eigenbasis.
+
+    With xc = W Sigma Z^T and the Krein Gram matrix W^T J W = U Lambda U^T,
+    the basis is W U and its x^T J x is Lambda, the cluster's signature.
+    """
+    basis, sing, _ = np.linalg.svd(xc, full_matrices=False)
+    if sing[-1] * COND_CAP < sing[0]:
+        return False
+    lam, u = np.linalg.eigh(basis.T @ (sign * basis))
+    xc[:] = basis @ u
+    norms[:] = lam
+    return True
+
+
 def _frame_vectors(q: np.ndarray, plus: np.ndarray, x: np.ndarray) -> np.ndarray:
     """v = QSx of (N, D, D) eigenvector columns x of M (see _krein_frame):
     Q Re(Sx) + i Q Im(Sx), the two real products of linalg.real_matmul."""
@@ -307,7 +337,7 @@ def find_unbroken_seeds(
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
         frames = block_frame(draws, m_plus, m_minus)
         w, _, _ = eig_arrays(frames, tol)
-        for s in np.asarray(seeds)[real_mask(w, frames).all(axis=1)].tolist():
+        for s in np.asarray(seeds)[real_mask(w, frobenius_norms(frames)).all(axis=1)].tolist():
             if classify_phase(random_pt_system(dim, signature, s), tol).phase is Phase.UNBROKEN:
                 found.append(s)
                 if len(found) == count:

@@ -68,6 +68,14 @@ def test_classify_broken_conjugate_pair():
 def test_classify_exceptional_at_coalescence():
     data = pt.classify_phase(two_level_system(0.3, 1.0, 1.0, 1.1))
     assert data.phase is pt.Phase.EXCEPTIONAL
+    # copies of one exceptional block: with two of them round-off splits the
+    # double eigenvalue by 0.83 of real_mask's gap, so the pair counts as real
+    # and its Re x and Im x span a Jordan chain. Only dgeev's own columns show
+    # the isotropic eigenvector; a basis of the cluster would mix it away
+    h, p = pt.h2(pt.TwoByTwoParams(0.1, 1.0, 1.0, 0.7)), pt.p2(0.7)
+    for copies in (2, 3):
+        sys = pt.pt_system_from_matrices(np.kron(np.eye(copies), h), np.kron(np.eye(copies), p))
+        assert pt.classify_phase(sys).phase is pt.Phase.EXCEPTIONAL
 
 
 @pytest.mark.parametrize("delta", [1e-9, -1e-9, 5e-9, -5e-9, 0.0])
@@ -214,7 +222,7 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
     w, _, res = pt.eig_arrays(frames, tol)
     h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
     wc, _, resc = pt.eig_arrays(h0, tol)
-    mask = pt.linalg.real_mask(w, frames).all(axis=1)
+    mask = pt.linalg.real_mask(w, pt.linalg.frobenius_norms(frames)).all(axis=1)
     # the reference: H0's complex spectrum, each eigenvalue real within tol
     real_c = np.abs(wc.imag) <= tol * np.maximum(1.0, np.abs(wc))
     np.testing.assert_array_equal(mask, real_c.all(axis=1))
@@ -264,6 +272,64 @@ def test_degenerate_spectrum_still_unbroken():
     assert sorted(data.pt_norm_signs) == [-1, 1]
     for v in data.v.T:
         assert np.linalg.norm(pt.pt_apply(v, sys.p) - v) <= 1e-9
+
+
+def _frame_system(m, j):
+    """The PT-symmetric system (S M S^H, J) of a real J-self-adjoint M, with
+    S = 1 on J's +1 entries and i on its -1 entries."""
+    s = np.where(np.diag(j) > 0.0, 1.0, 1j)
+    h = s[:, None] * m * s.conj()
+    return pt.pt_system_from_matrices(0.5 * (h + h.T), j.astype(complex))
+
+
+def _cayley_system(seed):
+    """A system with degenerate eigenvalues 0 and 1 and known Krein signs.
+
+    O = (I - K)^-1 (I + K) of a J-antisymmetric K (K^T J = -J K) is
+    J-orthogonal, so M = O Lambda J O^T J = O Lambda O^-1 is J-self-adjoint,
+    its eigenvectors are O's columns, and their signs x^T J x are diag(J).
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 6))
+    m = int(rng.integers(1, d))
+    j = np.diag([1.0] * (d - m) + [-1.0] * m)
+    a = rng.standard_normal((d, d))
+    k = a - j @ a.T @ j
+    k *= 0.5 / np.linalg.norm(k, 2)
+    o = np.linalg.solve(np.eye(d) - k, np.eye(d) + k)
+    return _frame_system(o @ np.diag(rng.integers(0, 2, d).astype(float)) @ j @ o.T @ j, j)
+
+
+def test_degenerate_cluster_is_krein_orthogonal():
+    # seed 0 has clusters of mixed Krein signature, seed 2 a definite cluster
+    # of two. dgeev's columns of a cluster of seeds 210, 218 and 223 are
+    # nearly parallel (sigma_min down to 0.007), so X_c^T J X_c has an
+    # eigenvalue below 1.5e-4 times the cluster's size, though the eigenspace
+    # has no isotropic direction
+    for seed in (0, 2, 210, 218, 223):
+        sys = _cayley_system(seed)
+        j = sys.p.real
+        # the test bites: dgeev's basis of the frame's clusters is not J-orthogonal
+        m, _, _, plus = spectral._krein_frame(sys.h.real[None], sys.h.imag[None], sys.p)
+        x = pt.eig_arrays(m)[1][0]
+        gram = x.T @ (np.where(plus, 1.0, -1.0)[:, None] * x)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() > 1e-3
+        data = pt.classify_phase(sys)
+        assert data.phase is pt.Phase.UNBROKEN
+        for run in pt.linalg.clusters(data.w, np.linalg.norm(m[0])):
+            block = data.v[:, run.start:run.stop]
+            gram = block.T @ block
+            assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-10
+        assert np.abs(sys.h @ data.v - data.v * data.w).max() <= 1e-10
+        assert sorted(data.pt_norm_signs) == sorted(np.diag(j))
+        c, eye = pt.c_operator(data, sys.p), np.eye(sys.dim)
+        assert np.abs(c @ c - eye).max() <= 1e-12
+        assert np.abs(c @ sys.h - sys.h @ c).max() <= 1e-12
+        # M = 2I + u u^T J with u^T J u = 0 is a Jordan block: one
+        # eigendirection for a double eigenvalue
+        u = eye[0] + eye[-1]
+        jordan = _frame_system(2.0 * eye + np.outer(u, u) @ j, j)
+        assert pt.classify_phase(jordan).phase is pt.Phase.EXCEPTIONAL
 
 
 def test_footnote_transpose_equivalence(rng):
@@ -371,6 +437,10 @@ def test_classify_stack_collinearity_failure_is_exceptional():
     got = pt.classify_stack(np.stack([ok.h, ep.h, ok.h]), ok.p)
     assert got.phases == [pt.Phase.UNBROKEN, pt.Phase.EXCEPTIONAL, pt.Phase.UNBROKEN]
     assert got.real_count.tolist() == [2, 0, 2]
+    # this system is diagonalizable, but dgeev returns one eigenvector twice
+    # (singular values sqrt(2) and 5e-16) for a double eigenvalue, none of them
+    # isotropic: a cluster with no basis of eigenvectors is exceptional
+    assert pt.classify_phase(_cayley_system(5)).phase is pt.Phase.EXCEPTIONAL
     # P = SWAP does not map the eigenvectors of diag(1, 2) onto themselves:
     # the pair is not PT-symmetric, so its Krein frame is not real
     h = np.stack([ok.h, np.diag([1.0, 2.0]).astype(complex), ok.h])
