@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (
-    PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame, random_pt_system,
-)
+from .construct import PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame
 from .linalg import (
     COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, frobenius_norms, multi_clusters, real_mask,
     real_matmul,
@@ -143,10 +141,11 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
 
     Each row is solved in its real Krein frame M = (QS)^H h (QS) (see the
     module docstring), one batched dgeev call for the stack, and v = QSx is
-    formed once, at the end. The exceptional-point test |x^T J x| <
-    EP_ISOTROPY_TOL runs on dgeev's own columns x. Python runs per row only
-    to give each eigenvalue cluster of a real spectrum one basis under J
-    (_krein_basis). The reported residuals are those of h's eigenpairs
+    formed once, at the end. The verdict comes from dgeev's eigenpairs alone
+    (_verdict, which find_unbroken_seeds shares): the exceptional-point test
+    |x^T J x| < EP_ISOTROPY_TOL runs on dgeev's own columns x, and Python
+    runs per row only to give each eigenvalue cluster of a real spectrum one
+    basis under J (_krein_basis). The reported residuals are those of h's eigenpairs
     (w, v); tol bounds those of M, which equal them up to round-off, as QS
     is unitary.
 
@@ -168,9 +167,46 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     m, residue, q, plus = _krein_frame(hr, hi, ps)
     _check_real_frame(residue, hr, hi)
     w, x, _ = eig_arrays(m, tol)
+    real, broken, unbroken, fixed, norms = _verdict(w, x, plus, frobenius_norms(m))
     n, d = w.shape
+    # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
+    # Re x and Im x of a pair span a Jordan chain, not eigenvectors
+    v = _frame_vectors(q, plus, np.where(unbroken[:, None, None], fixed, x))
+    # the leftover sign: the first entry within SIGN_TIE_RTOL of the largest
+    # magnitude gets a positive real part, or a positive imaginary part when
+    # its real part is 0
+    mag = np.abs(v)
+    first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    top = v[np.arange(n)[:, None], first, np.arange(d)]
+    v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
+    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v
+    hv = real_matmul(hr, v) + 1j * real_matmul(hi, v)
+    return PhaseStack(
+        w=w,
+        v=v,
+        residuals=column_norms(hv - v * w[:, None, :]),
+        codes=np.where(unbroken, 0, np.where(broken, 1, 2)),
+        real_count=np.where(broken, real.sum(axis=1), np.where(unbroken, d, 0)),
+        conjugate_pairs=np.where(broken, (~real).sum(axis=1) // 2, 0),
+        signs=np.where(unbroken[:, None], np.where(norms.real > 0.0, 1, -1), 0),
+    )
 
-    scale = frobenius_norms(m)
+
+def _verdict(w: np.ndarray, x: np.ndarray, plus: np.ndarray,
+             scale: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The phase of each row of dgeev's eigenpairs (w (N, D), x (N, D, D),
+    as eig_arrays gives them) of real Krein frames M, J's +1 entries in plus
+    ((D,) or (N, D)) and ||M||_F in scale (N,): (real, broken, unbroken,
+    fixed, norms).
+
+    real (N, D) marks the eigenvalues linalg.real_mask counts as real; broken
+    and unbroken (N,) are the rows of those phases, and the other rows are
+    exceptional. fixed (N, D, D) holds x with a pair counted as real replaced
+    by Re x and Im x and each eigenvalue cluster of an unbroken row given one
+    basis under J (_krein_basis); norms (N, D) holds its x^T J x, whose signs
+    are the PT-norm signs of an unbroken row.
+    """
+    n, d = w.shape
     real = real_mask(w, scale)
     broken = ~real.all(axis=1)
     # a real eigenvalue has a real x; a pair (w, conj w) counted as real
@@ -198,27 +234,7 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
                 for c in runs if len(c) > 1)
     broken &= ~exceptional
     unbroken = ~exceptional & ~broken
-    # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
-    # Re x and Im x of a pair span a Jordan chain, not eigenvectors
-    v = _frame_vectors(q, plus, np.where(unbroken[:, None, None], fixed, x))
-    # the leftover sign: the first entry within SIGN_TIE_RTOL of the largest
-    # magnitude gets a positive real part, or a positive imaginary part when
-    # its real part is 0
-    mag = np.abs(v)
-    first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
-    top = v[np.arange(n)[:, None], first, np.arange(d)]
-    v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
-    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v
-    hv = real_matmul(hr, v) + 1j * real_matmul(hi, v)
-    return PhaseStack(
-        w=w,
-        v=v,
-        residuals=column_norms(hv - v * w[:, None, :]),
-        codes=np.where(unbroken, 0, np.where(broken, 1, 2)),
-        real_count=np.where(broken, real.sum(axis=1), np.where(unbroken, d, 0)),
-        conjugate_pairs=np.where(broken, (~real).sum(axis=1) // 2, 0),
-        signs=np.where(unbroken[:, None], np.where(norms.real > 0.0, 1, -1), 0),
-    )
+    return real, broken, unbroken, fixed, norms
 
 
 def _krein_frame(hr: np.ndarray, hi: np.ndarray,
@@ -299,17 +315,18 @@ def find_unbroken_seeds(
     """Scan seeds upward from start_seed and keep those whose random system is
     unbroken; raise RuntimeError when max_trials seeds hold fewer than count.
 
-    The spectrum is rotation-invariant, so seeds are prescreened on the block
-    form alone, a block of seeds per stacked eigensolve: 16 seeds first, then
-    twice as many each time up to SCAN_BLOCK_MAX. The prescreen solves the
-    real block frame M = [[A, -B], [B^T, C]] of each seed (construct.
-    block_frame), which is unitarily similar to H0 = [[A, iB], [iB^T, C]], so
-    it keeps H0's eigenvalues and eigenpair residuals at real arithmetic's
-    cost. The seeds whose M has a real spectrum (linalg.real_mask, the test
-    classify_phase applies) are then classified one by one, in seed order,
-    and the scan stops at the count-th unbroken one. An eigenpair residual
-    above tol (ConvergenceError) raises for the whole block that holds the
-    failing seed.
+    The phase does not depend on the rotation R of H = R H0 R^T, P = R P0
+    R^T, so seeds are classified on the block form alone, a block of seeds
+    per stacked eigensolve: 16 seeds first, then twice as many each time up
+    to SCAN_BLOCK_MAX. Each seed's real block frame M = [[A, -B], [B^T, C]]
+    (construct.block_frame) is S^H H0 S with S = diag(I, iI): the real Krein
+    frame of (H0, P0), with J = diag(+1 x m_plus, -1 x m_minus), so one
+    real eigensolve gives H0's eigenvalues and eigenpair residuals. The
+    seeds whose M has a real spectrum (linalg.real_mask) get classify_stack's
+    verdict (_verdict) from those same eigenpairs; no system is built or
+    solved again. The scan keeps the unbroken ones in seed order and stops
+    at the count-th. An eigenpair residual above tol (ConvergenceError)
+    raises for the whole block that holds the failing seed.
 
     Raises ValueError, before drawing any seed, for a start_seed, count or
     max_trials that is not a non-negative integer, a dim below 1, or a
@@ -326,6 +343,7 @@ def find_unbroken_seeds(
     if m_plus + m_minus != dim:
         raise ValueError(f"signature {(m_plus, m_minus)} must sum to dim {dim}")
     k = block_draw_count(m_plus, m_minus)
+    plus = np.arange(dim) < m_plus
     found: list[int] = []
     seed, end, size = start_seed, start_seed + max_trials, SCAN_BLOCK_FIRST
     while len(found) < count:
@@ -336,11 +354,10 @@ def find_unbroken_seeds(
         seeds = range(seed, min(seed + size, end))
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
         frames = block_frame(draws, m_plus, m_minus)
-        w, _, _ = eig_arrays(frames, tol)
-        for s in np.asarray(seeds)[real_mask(w, frobenius_norms(frames)).all(axis=1)].tolist():
-            if classify_phase(random_pt_system(dim, signature, s), tol).phase is Phase.UNBROKEN:
-                found.append(s)
-                if len(found) == count:
-                    break
+        w, x, _ = eig_arrays(frames, tol)
+        scale = frobenius_norms(frames)
+        real = real_mask(w, scale).all(axis=1)
+        unbroken = _verdict(w[real], x[real], plus, scale[real])[2]
+        found += np.asarray(seeds)[real][unbroken].tolist()[:count - len(found)]
         seed, size = seeds.stop, min(2 * size, SCAN_BLOCK_MAX)
     return found

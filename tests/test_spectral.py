@@ -178,36 +178,89 @@ def test_scan_rejects_bad_arguments_before_drawing(no_draws, args, kwargs, messa
         pt.find_unbroken_seeds(*args, **kwargs)
 
 
-def test_scan_prescreens_each_block_with_one_eigensolve(monkeypatch):
-    # eig_arrays serves both the prescreen and classify_stack: a call made
-    # inside classify_stack counts as a candidate's classification
-    rows, classified, inside = [], [], []
-    original, original_stack = pt.spectral.eig_arrays, pt.spectral.classify_stack
+def test_scan_classifies_each_block_from_its_one_eigensolve(monkeypatch):
+    rows = []
+    original = pt.spectral.eig_arrays
 
     def counted(m, tol):
-        (classified if inside else rows).append(m.shape[0])
+        rows.append(m.shape[0])
         return original(m, tol)
 
-    def counted_stack(h, p, tol):
-        inside.append(1)
-        try:
-            return original_stack(h, p, tol)
-        finally:
-            inside.pop()
+    def fail(*args, **kwargs):
+        raise AssertionError("the scan rebuilt or re-solved a seed")
 
     monkeypatch.setattr(pt.spectral, "eig_arrays", counted)
-    monkeypatch.setattr(pt.spectral, "classify_stack", counted_stack)
+    monkeypatch.setattr(pt.spectral, "classify_stack", fail)
+    monkeypatch.setattr(pt.spectral, "classify_phase", fail)
+    monkeypatch.setattr(pt.construct, "random_pt_system", fail)
+    assert not hasattr(pt.spectral, "random_pt_system")
     want = UNBROKEN_SEEDS[(5, 3, 2)]
     assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
-    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; candidates are
-    # classified one prescreened seed at a time
+    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512, one solve each
     assert rows == [16, 32, 64, 128, 256] + [512] * 12
-    assert len(classified) >= len(want) and set(classified) == {1}
     # a cut block stops at max_trials
     rows.clear()
     with pytest.raises(RuntimeError):
         pt.find_unbroken_seeds(5, (3, 2), 1, max_trials=40)
     assert rows == [16, 24]
+
+
+@pytest.mark.parametrize("signature,table,want", [
+    # seed 0 draws the (1,1) frame [[1, -1], [1, -1]], a Jordan block whose
+    # double eigenvalue 0 passes the prescreen; seed 1 draws an unbroken one
+    ((1, 1), [[1.0, 1.0, -1.0], [1.0, 0.5, -1.0]], [1]),
+    # A = [[0, 1], [1, 0]], B = 0, C = 3: H0 is real symmetric, so unbroken,
+    # but A's eigenvectors (1, +-1, 0)/sqrt(2) are isotropic under a J with
+    # a -1 on either of A's indices
+    ((2, 1), [[0.0, 1.0, 0.0, 0.0, 0.0, 3.0]], [0]),
+], ids=["exceptional-point", "real-symmetric"])
+def test_scan_verdict_on_scripted_draws(monkeypatch, signature, table, want):
+    class Draws:
+        def __init__(self, seed):
+            self.seed = seed
+
+        def uniform(self, low, high, size):
+            return np.array(table[self.seed])
+
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+    got = pt.find_unbroken_seeds(sum(signature), signature, len(want), max_trials=len(table))
+    assert got == want
+
+
+def _near_ep_draws():
+    # the (1,1) frame [[1, -b], [b, -1]] has eigenvalues +-sqrt(1 - b^2): an
+    # exceptional point at b = 1, unbroken below it and broken above
+    bs = [1.0] + [1.0 + sign * 10.0 ** -k for k in range(1, 13) for sign in (-1.0, 1.0)]
+    return np.array([[1.0, b, -1.0] for b in bs])
+
+
+@pytest.mark.parametrize("mp,mm", [(1, 1), (2, 1), (2, 2), (3, 2), (6, 2)])
+def test_scan_verdict_agrees_with_classify_phase_under_rotation(mp, mm):
+    # the scan's verdict, from the unrotated block frame, against the
+    # classification of the rotated system; unbroken-or-not only, since the
+    # scan never classifies a row with a complex pair
+    k = pt.construct.block_draw_count(mp, mm)
+    if (mp, mm) == (1, 1):
+        draws = _near_ep_draws()
+    else:
+        # (6,2) has no unbroken seed below 300: the frozen unbroken seeds add some
+        seeds = sorted({*range(300), *UNBROKEN_SEEDS.get((mp + mm, mp, mm), [])})
+        draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
+    frames = pt.construct.block_frame(draws, mp, mm)
+    w, x, _ = pt.eig_arrays(frames)
+    scale = pt.linalg.frobenius_norms(frames)
+    real = pt.linalg.real_mask(w, scale).all(axis=1)
+    scan = np.zeros(len(draws), dtype=bool)
+    scan[real] = spectral._verdict(w[real], x[real], np.arange(mp + mm) < mp, scale[real])[2]
+    rng = np.random.default_rng(mp * 10 + mm)
+    for n, row in enumerate(draws):
+        blocks = pt.construct.blocks_from_draws(row, mp, mm)
+        for _ in range(3):
+            spec = pt.ParitySpec(mp, mm, pt.construct.random_angles(rng, mp + mm))
+            phase = pt.classify_phase(pt.make_pt_system(blocks, spec)).phase
+            assert (phase is pt.Phase.UNBROKEN) == scan[n], (n, phase)
+    # both verdicts occur in every corpus
+    assert 0 < scan.sum() < len(draws)
 
 
 @pytest.mark.parametrize("mp,mm", [(6, 2), (4, 4), (5, 3), (7, 1)])

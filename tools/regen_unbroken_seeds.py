@@ -6,17 +6,21 @@ Unbroken systems can be rare (the frozen lists hold 50 unbroken seeds in
 2.5e-2, at D=6, signature (5,1)), so the test suite uses seed lists found
 here once instead of rejection-sampling at run time. Every frozen seed
 is re-verified by the tests; this script only does the scanning, which takes
-about 9 s (8.4-8.8 s wall on a 2-CPU x86-64 Linux VM with one OpenBLAS
-thread, about 40 000 seeds/s; about twice as long on a loaded VM), nearly
-all of it the (8,6,2) scan up to seed 357555.
+about 22 s wall (21.7-24.6 s on a shared 2-CPU x86-64 Linux VM with one
+OpenBLAS thread, about 16 000 seeds/s), nearly all of it the (8,6,2) scan up
+to seed 357555.
 It prints the seeds scanned per second for each signature.
 
 Run from the repository root:  python tools/regen_unbroken_seeds.py
+With --check it recomputes every list and compares it with tests/_seeds.py,
+writing nothing, and exits 1 naming the first list that differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
+import runpy
 import sys
 import time
 
@@ -43,8 +47,16 @@ UNBROKEN_SEEDS = {
 '''
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="recompute every list and compare it with tests/_seeds.py, writing nothing; "
+             "exit 1 at the first list that differs",
+    )
+    args = parser.parse_args(argv)
     out = pathlib.Path(__file__).resolve().parent.parent / "tests" / "_seeds.py"
+    frozen = runpy.run_path(str(out))["UNBROKEN_SEEDS"] if args.check else {}
     lines = [HEADER]
     for dim, mp, mm, count in WANTED:
         t0 = time.time()
@@ -54,9 +66,19 @@ def main() -> int:
             f"D={dim} ({mp},{mm}): {count} seeds, scanned up to {seeds[-1]} in {dt:.1f}s "
             f"({(seeds[-1] + 1) / dt:.0f} seeds/s)"
         )
+        if args.check and frozen.get((dim, mp, mm)) != seeds:
+            print(f"D={dim} ({mp},{mm}): differs from {out}", file=sys.stderr)
+            return 1
         lines.append(f"    ({dim}, {mp}, {mm}): {seeds!r},\n")
     lines.append("}\n")
-    out.write_text("".join(lines), encoding="utf-8")
+    text = "".join(lines)
+    if args.check:
+        if out.read_text(encoding="utf-8") != text:
+            print(f"{out} holds these lists but differs from the text written here", file=sys.stderr)
+            return 1
+        print(f"{out} matches")
+        return 0
+    out.write_text(text, encoding="utf-8")
     print(f"wrote {out}")
     return 0
 
