@@ -15,10 +15,8 @@ import numpy as np
 
 from .construct import PTSystem
 from .errors import BrokenPhaseError, ExceptionalPointError
-from .linalg import DEFAULT_TOL, as_matrix
-from .spectral import Phase, SpectralData, classify_phase, pt_apply
-
-WEIGHT_COND_LIMIT = 1e8
+from .linalg import COND_CAP, DEFAULT_TOL, as_matrix
+from .spectral import EP_ISOTROPY_TOL, Phase, SpectralData, classify_phase, pt_apply
 
 
 def pt_inner(a, b, p) -> complex:
@@ -30,10 +28,12 @@ def pt_inner(a, b, p) -> complex:
     return complex(pt_apply(av, p) @ bv)
 
 
-def c_operator(data: SpectralData, p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """C = sum_k v_k (P conj v_k)^T / |(v_k|v_k)| over the phase-fixed eigenvectors
-    of an unbroken classification, so that C v_k = s_k v_k. Raises ExceptionalPointError
-    when a PT norm is below tol (eigenvectors coalescing)."""
+def c_operator(data: SpectralData, p) -> np.ndarray:
+    """C = sum_k v_k (P conj v_k)^T / |(v_k|v_k)| over the phase-fixed unit
+    eigenvectors of an unbroken classification, so that C v_k = s_k v_k.
+    Raises ExceptionalPointError when a PT norm is below EP_ISOTROPY_TOL, the
+    limit below which classify_phase calls the system exceptional
+    (eigenvectors coalescing)."""
     if data.phase is Phase.BROKEN:
         raise BrokenPhaseError("the C operator exists only in the unbroken phase")
     if data.phase is Phase.EXCEPTIONAL:
@@ -41,7 +41,7 @@ def c_operator(data: SpectralData, p, tol: float = DEFAULT_TOL) -> np.ndarray:
     v = data.v
     rows = as_matrix(p) @ v.conj()  # column k is the PT conjugate of v_k
     norms = np.abs(np.einsum("ik,ik->k", rows, v))
-    if (norms < tol).any():
+    if (norms < EP_ISOTROPY_TOL).any():
         raise ExceptionalPointError(
             f"vanishing PT norm {norms.min():.3e}: exceptional point"
         )
@@ -49,8 +49,9 @@ def c_operator(data: SpectralData, p, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def build_c_operator(sys: PTSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """C of the system's own classification; see c_operator."""
-    return c_operator(classify_phase(sys, tol), sys.p, tol)
+    """C of the system's own classification, tol bounding its eigenpairs'
+    relative backward error (classify_phase); see c_operator."""
+    return c_operator(classify_phase(sys, tol), sys.p)
 
 
 def cpt_inner(a, b, c, p) -> complex:
@@ -67,7 +68,7 @@ def build_weight_matrix(eigvecs, p) -> np.ndarray:
     """Solve (v_m| W |v_n) = delta_mn over the given eigenvector basis.
 
     Least squares is used for mildly ill-conditioned bases; a basis with
-    condition number at or above 1e8 (or a rank-deficient one) raises.
+    condition number at or above COND_CAP (or a rank-deficient one) raises.
     For a symmetric unbroken Hamiltonian with PT-normalized eigenvectors the
     result coincides with the C operator.
     """
@@ -79,7 +80,7 @@ def build_weight_matrix(eigvecs, p) -> np.ndarray:
     eye = np.eye(v.shape[0], dtype=np.complex128)
     for basis in (v, rows):
         sing = np.linalg.svd(basis, compute_uv=False)
-        if sing[-1] <= 0.0 or sing[0] / sing[-1] >= WEIGHT_COND_LIMIT:
+        if sing[-1] <= 0.0 or sing[0] / sing[-1] >= COND_CAP:
             raise ValueError("eigenvector basis is singular or too ill-conditioned")
     inv_rows = np.linalg.lstsq(rows, eye, rcond=None)[0]
     inv_v = np.linalg.lstsq(v, eye, rcond=None)[0]

@@ -22,6 +22,7 @@ from .algebra import c_operator
 from .closedform import TwoByTwoParams, h2, p2
 from .construct import (
     BlockForm,
+    _symmetric_rows,
     _triu,
     check_pt_pairs,
     classify_matrix,
@@ -33,7 +34,7 @@ from .construct import (
 )
 from .dynamics import nonunitarity_demo, unitarity_trace
 from .errors import BrokenPhaseError, ConvergenceError, ExceptionalPointError
-from .linalg import DEFAULT_TOL, is_symmetric, max_abs
+from .linalg import DEFAULT_TOL, max_abs
 from .serialize import (
     block_form_from_obj,
     dumps,
@@ -89,9 +90,9 @@ def _tol(text: str) -> float:
     x = float(text)  # argparse reports a non-number
     if not (math.isfinite(x) and x > 0.0):
         raise UsageError(f"--tol must be finite and positive, got {text}")
-    # tol is also the smallest PT norm |v^T v| that C accepts, at most 1 for
-    # a unit v and below 1 once v mixes P's eigenspaces: tol >= 1 rejects
-    # almost every C
+    # tol bounds only each eigenpair's relative backward error
+    # ||Mv - wv||_2 / ||M||_F; at 1 or above it accepts the eigenpairs of a
+    # matrix as far from M as M is from 0, which checks nothing
     if x >= 1.0:
         raise UsageError(f"--tol must be below 1, got {text}")
     return x
@@ -173,7 +174,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    sys_ = system_from_obj(read_json(args.input), tol=args.tol)
+    sys_ = system_from_obj(read_json(args.input))
     data = classify_phase(sys_, args.tol)
     eye = np.eye(sys_.dim)
     report = {
@@ -185,10 +186,10 @@ def cmd_analyze(args) -> int:
             "parity_involution": max_abs(sys_.p @ sys_.p - eye),
             "pt_commutation": max_abs(sys_.p @ sys_.h.conj() @ sys_.p - sys_.h),
         },
-        "classes": sorted(c.value for c in classify_matrix(sys_.h, sys_.p, args.tol)),
+        "classes": sorted(c.value for c in classify_matrix(sys_.h, sys_.p)),
     }
     if data.phase is Phase.UNBROKEN:
-        c = c_operator(data, sys_.p, args.tol)
+        c = c_operator(data, sys_.p)
         report["c_matrix"] = matrix_to_obj(c)
         report["invariant_residuals"]["c_squared"] = max_abs(c @ c - eye)
         report["invariant_residuals"]["c_h_commutator"] = max_abs(c @ sys_.h - sys_.h @ c)
@@ -371,7 +372,7 @@ def _pick_state(spec: str, data, dim: int) -> np.ndarray:
 def cmd_evolve(args) -> int:
     obj = read_json(args.input)
     h, p, _ = system_matrices_from_obj(obj)
-    if not is_symmetric(h, 1e-12):
+    if not _symmetric_rows(h):
         # asymmetric Hamiltonian: weight-matrix inner product, expected drift;
         # both states are drawn from the one seed of --state
         if args.state2 is not None:
@@ -392,9 +393,9 @@ def cmd_evolve(args) -> int:
             return EXIT_UNITARITY
         return EXIT_OK
 
-    sys_ = system_from_obj(obj, tol=args.tol)
+    sys_ = system_from_obj(obj)
     data = classify_phase(sys_, args.tol)
-    c = c_operator(data, sys_.p, args.tol)  # raises unless data is unbroken
+    c = c_operator(data, sys_.p)  # raises unless data is unbroken
     a = _pick_state(args.state, data, sys_.dim)
     b = _pick_state(args.state2, data, sys_.dim) if args.state2 else a.copy()
     trace = unitarity_trace(data, sys_.p, c, a, b, t_max=args.t_max, steps=args.steps)

@@ -140,7 +140,8 @@ def make_parity(spec: ParitySpec) -> np.ndarray:
 
 def make_h0(blocks: BlockForm) -> np.ndarray:
     """Assemble [[A, iB], [iB^T, C]]; complex symmetric by construction.
-    Blocks with a leading stack axis give an (N, D, D) stack."""
+    Blocks with a leading stack axis give an (N, D, D) stack. A and C must be
+    symmetric within SYMMETRY_TOL of each matrix's largest entry."""
     a, b, c = blocks.a_block, blocks.b_block, blocks.c_block
     mp, mm = blocks.signature
     stack = a.shape[:-2]
@@ -148,7 +149,7 @@ def make_h0(blocks: BlockForm) -> np.ndarray:
     if (a.shape, b.shape, c.shape) != want:
         raise ValueError(f"blocks A, B, C need shapes {want}, got {(a.shape, b.shape, c.shape)}")
     at, ct = a.swapaxes(-1, -2), c.swapaxes(-1, -2)
-    if max_abs(a - at) > SYMMETRY_TOL or max_abs(c - ct) > SYMMETRY_TOL:
+    if not (_symmetric_rows(a) and _symmetric_rows(c)):
         raise ValueError("A and C must be symmetric")
     d = mp + mm
     h0 = np.zeros(stack + (d, d), dtype=np.complex128)
@@ -190,7 +191,7 @@ def make_pt_system(blocks: BlockForm, spec: ParitySpec, seed=None) -> PTSystem:
     return PTSystem(h=h, p=p, provenance=provenance)
 
 
-def pt_system_from_matrices(h, p, provenance=None, tol: float = DEFAULT_TOL) -> PTSystem:
+def pt_system_from_matrices(h, p, provenance=None) -> PTSystem:
     """Bind an existing (H, P) pair, validating all structural invariants."""
     hm = as_matrix(h)
     pm = as_matrix(p)
@@ -198,45 +199,70 @@ def pt_system_from_matrices(h, p, provenance=None, tol: float = DEFAULT_TOL) -> 
         raise ValueError("H and P must share a dimension")
     if hm.shape[0] < 1:
         raise ValueError("dimension must be at least 1")
-    check_pt_pairs(hm, pm, tol)
+    check_pt_pairs(hm, pm)
     return PTSystem(h=hm, p=pm, provenance=provenance or {})
 
 
-def check_pt_pairs(h: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+def check_pt_pairs(h: np.ndarray, p: np.ndarray) -> None:
     """Validate (h, p), or every (h[n], p[n]) of two (N, D, D) complex stacks, as
-    pt_system_from_matrices does: finite entries, H symmetric, P a real
-    symmetric involution, P conj(H) P = H. One (D, D) p serves every row of an
-    H stack, and is validated once. Raises ValueError for the first check any
-    row fails."""
+    pt_system_from_matrices does: finite entries, H symmetric within
+    SYMMETRY_TOL * max|H|, P a real symmetric involution (validate_parity),
+    and P conj(H) P = H within PT_COMMUTATION_TOL * max|H|, each bound taken
+    with the row's own max|H|, so H -> kH and H -> H + rI keep the outcome.
+    One (D, D) p serves every row of an H stack, and is validated once.
+    Raises ValueError for the first check any row fails."""
     if not (np.isfinite(h).all() and np.isfinite(p).all()):
         raise ValueError("matrix contains NaN or Inf entries")
-    if max_abs(h - h.swapaxes(-1, -2)) > SYMMETRY_TOL:
+    size = np.atleast_1d(np.abs(h).max(axis=(-2, -1)))
+    if _first_row_above(h - h.swapaxes(-1, -2), SYMMETRY_TOL * size) is not None:
         raise ValueError("H must be symmetric")
-    _check_parities(p, tol)
+    _check_parities(p)
     # P is real, so P conj(H) P - H is (P Re H P - Re H) - i (P Im H P + Im H)
     pr, hr, hi = p.real, h.real, h.imag
-    resid = max_abs(np.hypot(pr @ hr @ pr - hr, pr @ hi @ pr + hi))
-    if resid > PT_COMMUTATION_TOL:
+    resid = np.hypot(pr @ hr @ pr - hr, pr @ hi @ pr + hi)
+    n = _first_row_above(resid, PT_COMMUTATION_TOL * size)
+    if n is not None:
         raise ValueError(
             f"H does not commute with the PT operation for this P (residual "
-            f"{resid:.3e} > PT_COMMUTATION_TOL {PT_COMMUTATION_TOL:.0e})"
+            f"{resid.reshape(-1, h.shape[-1] ** 2)[n].max():.3e} > PT_COMMUTATION_TOL * "
+            f"max|H| = {PT_COMMUTATION_TOL * size[n]:.3e})"
         )
 
 
-def validate_parity(p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check that p is a real symmetric involution; return it as a matrix."""
+def _first_row_above(diff: np.ndarray, bound: np.ndarray) -> int | None:
+    """The index of the first matrix of diff, one matrix or a stack, whose
+    largest |entry| is above its entry of bound (one per matrix), or None.
+    One maximum over the whole stack decides a stack within every bound."""
+    mag = np.abs(diff)
+    if mag.max(initial=0.0) <= bound.min(initial=np.inf):
+        return None
+    above = np.atleast_1d(mag.max(axis=(-2, -1)) > bound)
+    return int(above.argmax()) if above.any() else None
+
+
+def _symmetric_rows(m: np.ndarray) -> bool:
+    """Whether max|m - m^T| <= SYMMETRY_TOL * max|m| holds for a matrix, or
+    for each matrix of a stack."""
+    size = np.atleast_1d(np.abs(m).max(axis=(-2, -1), initial=0.0))
+    return _first_row_above(m - m.swapaxes(-1, -2), SYMMETRY_TOL * size) is None
+
+
+def validate_parity(p) -> np.ndarray:
+    """Check that p is a real symmetric involution, each within the absolute
+    PT_COMMUTATION_TOL (P is orthogonal, so of unit scale); return it as a
+    matrix."""
     pm = as_matrix(p)
-    _check_parities(pm, tol)
+    _check_parities(pm)
     return pm
 
 
-def _check_parities(p: np.ndarray, tol: float) -> None:
+def _check_parities(p: np.ndarray) -> None:
     """validate_parity of one matrix or of each matrix of a stack."""
-    if max_abs(p.imag) > tol:
+    if max_abs(p.imag) > PT_COMMUTATION_TOL:
         raise ValueError("parity must be real")
-    if max_abs(p - p.swapaxes(-1, -2)) > tol:
+    if max_abs(p - p.swapaxes(-1, -2)) > PT_COMMUTATION_TOL:
         raise ValueError("parity must be symmetric")
-    if max_abs(p @ p - np.eye(p.shape[-1])) > max(tol, 1e-12):
+    if max_abs(p @ p - np.eye(p.shape[-1])) > PT_COMMUTATION_TOL:
         raise ValueError("parity must square to the identity")
 
 
@@ -309,7 +335,7 @@ def classify_matrix(m, p=None, tol: float = DEFAULT_TOL) -> set[MatrixClass]:
     if is_real(a, tol) and is_symmetric(a, tol):
         flags.add(MatrixClass.REAL_SYMMETRIC)
     if p is not None:
-        pm = validate_parity(p, tol)
+        pm = validate_parity(p)
         if pt_commutes(a, pm, tol):
             flags.add(MatrixClass.PT_SYMMETRIC)
     return flags

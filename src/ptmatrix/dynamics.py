@@ -177,10 +177,11 @@ def nonunitarity_demo(
     [W, H] = V [B^-1, diag(w)] V^-1 is 0 for a B block-diagonal over
     eigenvalue clusters (the symmetric control case) whatever basis a
     degenerate cluster has; W is C there only with no degenerate eigenvalue.
+    tol bounds the relative backward error of zgeev's eigenpairs (eig_arrays).
     """
     h = as_matrix(h_asym)
-    pm = validate_parity(p, tol)
-    w, v, _ = eig_arrays(h, tol)
+    pm = validate_parity(p)
+    w, v, _, _ = eig_arrays(h, tol)
     weight = build_weight_matrix([v[:, k] for k in range(h.shape[0])], pm)
     vinv = eigvec_inverse(v)
     comm = max_abs(weight @ h - h @ weight)

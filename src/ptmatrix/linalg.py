@@ -3,17 +3,64 @@ eigendecomposition of one matrix or of an (N, D, D) stack of them.
 
 eig_arrays is the one eigensolver: one batched numpy.linalg.eig call per
 stack, LAPACK dgeev for a real input and zgeev for a complex one, with the
-eigenpairs sorted by (Re, Im) and their residuals checked. dgeev returns a
-real eigenvalue with an imaginary part of exactly 0, so real_mask, the one
-test of which eigenvalues count as real, is structural up to a cluster gap.
-clusters and multi_clusters group sorted eigenvalues within that gap (the
-caller gives each cluster one basis; see spectral.classify_stack), and
-eigvec_inverse inverts an eigenvector matrix unless it is numerically
+eigenpairs sorted by (Re, Im) and their backward errors checked. dgeev
+returns a real eigenvalue with an imaginary part of exactly 0, so real_mask,
+the one test of which eigenvalues count as real, is structural up to a
+cluster gap. clusters and multi_clusters group sorted eigenvalues within that
+gap (the caller gives each cluster one basis; see spectral.classify_stack),
+and eigvec_inverse inverts an eigenvector matrix unless it is numerically
 singular.
 
 Matrices are plain numpy arrays of float64 or complex128; everything here is
-a pure function of its inputs. The cluster gap is relative to ||m||_F, which
-the caller computes once per stack (frobenius_norms) and passes in.
+a pure function of its inputs. eig_arrays computes ||m||_F once per stack
+(frobenius_norms) and returns it, and the caller passes it on to real_mask
+and multi_clusters.
+
+Tolerance policy. Each threshold has one meaning and one scale, listed
+here, so no verdict changes under H -> kH or H -> H + rI. M is the real
+Krein frame (QS)^H H (QS) of spectral.classify_stack, and ||M||_F = ||H||_F
+as QS is unitary. The tol of eig_arrays, classify_phase, classify_stack,
+find_unbroken_seeds, build_c_operator, nonunitarity_demo and the CLI's --tol
+is the first row, and reaches no other decision.
+
+======================== ====== ==================================== ====================
+name                     value  bounds                               relative to
+======================== ====== ==================================== ====================
+DEFAULT_TOL (tol)        1e-10  ||Mv - wv||_2 of each unit           ||M||_F of the row
+                                eigenpair (eig_arrays): the
+                                backward error
+CLUSTER_REL_GAP          1e-8   the gap within an eigenvalue         ||M||_F of the row
+                                cluster (clusters); 2|Im w| of an
+                                eigenvalue counted as real
+                                (real_mask)
+COND_CAP                 1e8    cond(V) of eigenvector columns:      scale-free
+                                eigvec_inverse, a cluster's basis
+                                (spectral._krein_basis), a weight
+                                basis (algebra.build_weight_matrix)
+SYMMETRY_TOL             1e-12  max|H - H^T| (check_pt_pairs; the    max|H| of the matrix
+                                asymmetric route of cli evolve);
+                                max|A - A^T|, max|C - C^T| (make_h0)
+PT_COMMUTATION_TOL       1e-10  max|P conj(H) P - H|                 max|H| of the matrix
+                                (check_pt_pairs); max|Im M| / D
+                                (spectral._check_real_frame)
+                                max|Im P|, max|P - P^T| and          1 (P is orthogonal)
+                                max|P^2 - I| (validate_parity)
+EP_ISOTROPY_TOL          2e-4   |v^T v| of a unit eigenvector: the   1 (v is a unit
+                                exceptional verdict (spectral) and   vector)
+                                the least PT norm that C accepts
+                                (algebra.c_operator)
+SIGN_TIE_RTOL            1e-9   entries tied for an eigenvector's    that largest
+                                largest magnitude (sign convention)  magnitude
+COMMUTATOR_REL_THRESHOLD 1e-3   max|[W, H]| of a conclusive drift    max|H|
+                                (dynamics.nonunitarity_demo)
+DRIFT_FLAG_THRESHOLD     1e-6   the drift of an evolve trace that    1 (unit states)
+                                flags exit code 3 (cli)
+======================== ====== ==================================== ====================
+
+The matrix-class predicates (is_symmetric, is_hermitian, is_real,
+is_orthogonal, construct.pt_commutes, construct.classify_matrix) take their
+own absolute tol, DEFAULT_TOL by default; they report classes and decide no
+verdict.
 """
 
 from __future__ import annotations
@@ -64,19 +111,22 @@ def is_orthogonal(m, tol: float = DEFAULT_TOL) -> bool:
     return max_abs(a.T @ a - np.eye(a.shape[0])) <= tol
 
 
-def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, L2-normalized eigenvector columns v and their residuals
-    ||m v - w v||_2 of a real or complex matrix, sorted by (Re, Im). A
-    residual above tol raises ConvergenceError.
+def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Eigenvalues w, L2-normalized eigenvector columns v, their residuals
+    ||m v - w v||_2 and ||m||_F of a real or complex matrix, sorted by (Re,
+    Im). A residual above tol * ||m||_F, or one that is not finite, raises
+    ConvergenceError: tol bounds the relative backward error of each
+    eigenpair, so m -> km and m -> m + rI keep the verdict.
 
-    A (D, D) matrix gives shapes (D,), (D, D), (D,); an (N, D, D) stack gives
-    (N, D), (N, D, D), (N, D), row n holding what m[n] alone would give, from
-    one batched LAPACK call: dgeev for a real m, zgeev for a complex one. The
-    residual bound applies to every row. w is complex; from dgeev a real
-    eigenvalue has an imaginary part of exactly 0 and a real eigenvector, and
-    a non-real one comes right after its exact conjugate, with a
-    bit-identical real part and the conjugate eigenvector (v is real when
-    every eigenvalue of the stack is).
+    A (D, D) matrix gives shapes (D,), (D, D), (D,), (); an (N, D, D) stack
+    gives (N, D), (N, D, D), (N, D), (N,), row n holding what m[n] alone
+    would give, from one batched LAPACK call: dgeev for a real m, zgeev for a
+    complex one. The residual bound applies to every row, with that row's
+    ||m||_F (frobenius_norms), which real_mask and multi_clusters take too. w
+    is complex; from dgeev a real eigenvalue has an imaginary part of exactly
+    0 and a real eigenvector, and a non-real one comes right after its exact
+    conjugate, with a bit-identical real part and the conjugate eigenvector
+    (v is real when every eigenvalue of the stack is).
     """
     a = np.asarray(m)
     real = not np.iscomplexobj(a)
@@ -100,11 +150,12 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.
             res = column_norms(real_matmul(stack, v) - v * w[:, None, :])
         else:
             res = column_norms(stack @ v - v * w[:, None, :])
-    _check_residuals(res, tol)
+    norms = frobenius_norms(stack)
+    _check_residuals(res, norms, tol)
     w = w.astype(np.complex128, copy=False)
     if a.ndim == 2:
-        return w[0], v[0], res[0]
-    return w, v, res
+        return w[0], v[0], res[0], norms[0]
+    return w, v, res, norms
 
 
 def _sorted_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,16 +180,24 @@ def real_mask(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(w.imag) <= CLUSTER_REL_GAP * norms[:, None]
 
 
-def _check_residuals(res: np.ndarray, tol: float) -> None:
-    """Raise ConvergenceError unless every residual is at most tol (a NaN
-    residual fails too)."""
-    bad = float(res.max()) if res.size else 0.0
-    if not bad <= tol:
-        raise ConvergenceError(
-            f"eigenpair residual {bad:.3e} above tolerance {tol:.3e}; the "
-            "input is ill-conditioned, or large-normed (the bound is "
-            "absolute, so scale tol with the matrix norm)"
-        )
+def _check_residuals(res: np.ndarray, norms: np.ndarray, tol: float) -> None:
+    """Raise ConvergenceError, naming the worst, unless every residual of
+    row n of res (N, D) is at most tol * norms[n]. A residual that is not
+    finite fails, also where norms[n] is inf."""
+    peak = float(res.max()) if res.size else 0.0
+    if math.isfinite(peak) and peak <= tol * float(norms.min(initial=math.inf)):
+        return  # every row's bound is at least the smallest
+    bound = tol * norms[:, None]
+    ok = np.isfinite(res) & (res <= bound)
+    if ok.all():
+        return
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.where(ok, 0.0, np.where(np.isfinite(res), res / bound, np.inf))
+    n, k = np.unravel_index(excess.argmax(), res.shape)
+    raise ConvergenceError(
+        f"eigenpair residual {res[n, k]:.3e} above tolerance {tol:.3e} * ||M||_F "
+        f"= {bound[n, 0]:.3e}; the input is ill-conditioned"
+    )
 
 
 def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:

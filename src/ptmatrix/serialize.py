@@ -133,9 +133,9 @@ def system_matrices_from_obj(obj) -> tuple[np.ndarray, np.ndarray, dict]:
     return mats[0], mats[1], obj.get("provenance") or {}
 
 
-def system_from_obj(obj, tol: float = 1e-10) -> PTSystem:
+def system_from_obj(obj) -> PTSystem:
     h, p, provenance = system_matrices_from_obj(obj)
-    return pt_system_from_matrices(h, p, provenance=provenance, tol=tol)
+    return pt_system_from_matrices(h, p, provenance=provenance)
 
 
 def spectral_to_obj(data: SpectralData) -> dict:

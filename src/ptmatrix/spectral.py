@@ -28,8 +28,7 @@ import numpy as np
 
 from .construct import PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame
 from .linalg import (
-    COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, frobenius_norms, multi_clusters, real_mask,
-    real_matmul,
+    COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, multi_clusters, real_mask, real_matmul,
 )
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
@@ -130,7 +129,7 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     spectrum, an eigenvalue cluster has no basis of eigenvectors. Broken:
     otherwise, when an eigenvalue is not real (linalg.real_mask). Unbroken:
     all other systems; their eigenvectors are PT-fixed. tol bounds the
-    eigenpair residuals; see classify_stack.
+    relative backward error of the eigenpairs; see classify_stack.
     """
     return classify_stack(sys.h[None], sys.p[None], tol).row(0)
 
@@ -146,13 +145,14 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     |x^T J x| < EP_ISOTROPY_TOL runs on dgeev's own columns x, and Python
     runs per row only to give each eigenvalue cluster of a real spectrum one
     basis under J (_krein_basis). The reported residuals are those of h's eigenpairs
-    (w, v); tol bounds those of M, which equal them up to round-off, as QS
-    is unitary.
+    (w, v); tol bounds those of M relative to ||M||_F (eig_arrays), which
+    equal ||h v - w v||_2 and ||h||_F up to round-off, as QS is unitary, so
+    h -> kh and h -> h + rI keep every verdict.
 
     The pairs are taken as given (see construct.check_pt_pairs). A failure in
-    any row raises for the whole stack: ValueError for a non-finite entry or
-    a row whose M is not real, and ConvergenceError for a residual of M above
-    tol.
+    any row raises for the whole stack: ValueError for a non-finite entry,
+    ConvergenceError for a residual of M above tol * ||M||_F, and ValueError
+    for a row whose M is not real (_check_real_frame).
     """
     hs = np.asarray(h, dtype=np.complex128)
     ps = np.asarray(p, dtype=np.complex128)
@@ -165,9 +165,9 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
         raise ValueError("matrix contains NaN or Inf entries")
     hr, hi = np.ascontiguousarray(hs.real), np.ascontiguousarray(hs.imag)
     m, residue, q, plus = _krein_frame(hr, hi, ps)
-    _check_real_frame(residue, hr, hi)
-    w, x, _ = eig_arrays(m, tol)
-    real, broken, unbroken, fixed, norms = _verdict(w, x, plus, frobenius_norms(m))
+    w, x, _, scale = eig_arrays(m, tol)
+    _check_real_frame(residue, hr, hi, scale)
+    real, broken, unbroken, fixed, norms = _verdict(w, x, plus, scale)
     n, d = w.shape
     # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
     # Re x and Im x of a pair span a Jordan chain, not eigenvectors
@@ -179,12 +179,15 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
     top = v[np.arange(n)[:, None], first, np.arange(d)]
     v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
-    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v
-    hv = real_matmul(hr, v) + 1j * real_matmul(hi, v)
+    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v;
+    # near the float limit they overflow, as in eig_arrays, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv = real_matmul(hr, v) + 1j * real_matmul(hi, v)
+        residuals = column_norms(hv - v * w[:, None, :])
     return PhaseStack(
         w=w,
         v=v,
-        residuals=column_norms(hv - v * w[:, None, :]),
+        residuals=residuals,
         codes=np.where(unbroken, 0, np.where(broken, 1, 2)),
         real_count=np.where(broken, real.sum(axis=1), np.where(unbroken, d, 0)),
         conjugate_pairs=np.where(broken, (~real).sum(axis=1) // 2, 0),
@@ -258,25 +261,30 @@ def _krein_frame(hr: np.ndarray, hi: np.ndarray,
     return np.where(same, gr, -turn * gi), np.where(same, gi, turn * gr), q, plus
 
 
-def _check_real_frame(residue: np.ndarray, hr: np.ndarray, hi: np.ndarray) -> None:
+def _check_real_frame(residue: np.ndarray, hr: np.ndarray, hi: np.ndarray,
+                      scale: np.ndarray) -> None:
     """Raise ValueError when some row's max|Im M| (residue, of _krein_frame)
-    is above D * PT_COMMUTATION_TOL * max(1, max|h|), naming the worst row's.
+    is above D * PT_COMMUTATION_TOL * max|h|, naming the worst row's; scale
+    (N,) holds each ||M||_F.
 
     max|Im M| is half the largest entry of Q^T (P conj(h) P - h) Q, so it is
     at most D/2 times the residual that check_pt_pairs bounds by
-    PT_COMMUTATION_TOL; forming M adds a round-off of about eps * max|h|.
+    PT_COMMUTATION_TOL * max|h|; forming M adds a round-off of about eps *
+    max|h|. ||M||_F <= ||h||_F <= D max|h|, so a stack whose residue is at
+    most PT_COMMUTATION_TOL * min ||M||_F passes every row.
     """
-    floor = hr.shape[-1] * PT_COMMUTATION_TOL
-    if np.abs(residue).max() <= floor:  # every row's bound is at least floor
+    if np.abs(residue).max() <= PT_COMMUTATION_TOL * scale.min():
         return
-    bound = floor * np.maximum(1.0, np.hypot(hr, hi).max(axis=(1, 2)))
-    excess = np.abs(residue).max(axis=(1, 2)) / bound
+    peak = np.abs(residue).max(axis=(1, 2))
+    bound = hr.shape[-1] * PT_COMMUTATION_TOL * np.hypot(hr, hi).max(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.where(peak > bound, peak / bound, 0.0)
     worst = int(excess.argmax())
-    if excess[worst] > 1.0:
+    if excess[worst] > 0.0:
         raise ValueError(
             "H is not PT-symmetric for this P: its real Krein frame has an imaginary "
-            f"residue {excess[worst] * bound[worst]:.3e} > {bound[worst]:.3e} "
-            "(D * PT_COMMUTATION_TOL * max(1, max|H|))"
+            f"residue {peak[worst]:.3e} > {bound[worst]:.3e} "
+            "(D * PT_COMMUTATION_TOL * max|H|)"
         )
 
 
@@ -325,8 +333,9 @@ def find_unbroken_seeds(
     seeds whose M has a real spectrum (linalg.real_mask) get classify_stack's
     verdict (_verdict) from those same eigenpairs; no system is built or
     solved again. The scan keeps the unbroken ones in seed order and stops
-    at the count-th. An eigenpair residual above tol (ConvergenceError)
-    raises for the whole block that holds the failing seed.
+    at the count-th. An eigenpair residual above tol * ||M||_F
+    (ConvergenceError, eig_arrays) raises for the whole block that holds the
+    failing seed.
 
     Raises ValueError, before drawing any seed, for a start_seed, count or
     max_trials that is not a non-negative integer, a dim below 1, or a
@@ -354,8 +363,7 @@ def find_unbroken_seeds(
         seeds = range(seed, min(seed + size, end))
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
         frames = block_frame(draws, m_plus, m_minus)
-        w, x, _ = eig_arrays(frames, tol)
-        scale = frobenius_norms(frames)
+        w, x, _, scale = eig_arrays(frames, tol)
         real = real_mask(w, scale).all(axis=1)
         unbroken = _verdict(w[real], x[real], plus, scale[real])[2]
         found += np.asarray(seeds)[real][unbroken].tolist()[:count - len(found)]

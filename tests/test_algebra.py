@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,16 @@ def test_c_operator_vanishing_pt_norm_raises():
     )
     with pytest.raises(pt.ExceptionalPointError, match="vanishing PT norm"):
         pt.c_operator(data, SWAP)
+    # the floor is EP_ISOTROPY_TOL, where classify_phase calls a unit
+    # eigenvector exceptional: (v|v) = cos(phi) for v = (1, e^{i phi})/sqrt(2)
+    for norm in (1e-5, 1e-3):
+        v = np.array([1.0, np.exp(1j * np.arccos(norm))]) / np.sqrt(2.0)
+        data = dataclasses.replace(data, v=np.column_stack([v, v.conj()]))
+        if norm < pt.spectral.EP_ISOTROPY_TOL:
+            with pytest.raises(pt.ExceptionalPointError, match="vanishing PT norm 1.000e-05"):
+                pt.c_operator(data, SWAP)
+        else:
+            assert np.isfinite(pt.c_operator(data, SWAP)).all()
 
 
 def test_c_operator_broken_raises():
@@ -193,7 +205,7 @@ def test_weight_matrix_equals_c_for_symmetric_system():
 
 def test_weight_matrix_asymmetric_does_not_commute():
     h = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
-    _, v, _ = pt.eig_arrays(h)
+    _, v, _, _ = pt.eig_arrays(h)
     w = pt.build_weight_matrix(list(v.T), np.eye(2))
     assert pt.max_abs(w @ h - h @ w) > 1e-3
 

@@ -273,7 +273,7 @@ def test_sweep_grid_too_fine_for_its_range(capsys):
 
 @pytest.mark.parametrize("extra,code", [
     (["--r", "nan"], 1), (["--t", "inf"], 1), (["--phi", "nan"], 1),
-    (["--t", "1e7"], 2),  # a residual above the absolute tolerance
+    (["--tol", "1e-300"], 2),  # a tolerance below round-off: a residual above it
 ])
 def test_sweep_point_failures_keep_their_exit_code(capsys, extra, code):
     argv = ["sweep", "--param", "s", *extra, "--lo", "0", "--hi", "2", "--step", "0.01"]
@@ -369,14 +369,24 @@ def test_block_sweep_matches_point_by_point_reference(tmp_path, capsys, key, par
 
 
 @pytest.mark.parametrize("tol,code,message", [
-    # B[0,0] = 2.5e6 leaves a round-off commutation residual above the
-    # absolute PT_COMMUTATION_TOL; the point before it classifies
+    # the pair at B[0,0] = 2.5e6 is made not PT-symmetric; the point before it
+    # classifies
     ("1e-10", 1, "input error: H does not commute with the PT operation for this P "
-                 "(residual 4.657e-10 > PT_COMMUTATION_TOL 1e-10)"),
+                 "(residual 8.566e-01 > PT_COMMUTATION_TOL * max|H| = 2.105e-04)"),
     # with a tolerance no residual meets, the point before it fails first
     ("1e-300", 2, "numerical failure: eigenpair residual"),
 ], ids=["commutation", "residual"])
-def test_block_sweep_build_failure_surfaces_in_grid_order(tmp_path, capsys, tol, code, message):
+def test_block_sweep_build_failure_surfaces_in_grid_order(tmp_path, capsys, monkeypatch, tol,
+                                                          code, message):
+    original = pt.pt_matrices
+
+    def crafted(blocks, spec):
+        h, p = original(blocks, spec)
+        # a real symmetric change of 1e-6 max|H| that the parity does not keep
+        h[blocks.b_block[:, 0, 0] == 2.5e6, 0, 0] += 1e-6 * 2.5e6
+        return h, p
+
+    monkeypatch.setattr("ptmatrix.cli.pt_matrices", crafted)
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(unbroken_system(3, 2, 1, 0)))
     out = tmp_path / "sweep.csv"
@@ -388,21 +398,24 @@ def test_block_sweep_build_failure_surfaces_in_grid_order(tmp_path, capsys, tol,
 
 
 def test_block_sweep_overflow_past_the_failing_point_is_silent(tmp_path, capsys):
-    # the first point fails PT commutation; points up to 1.7e308 overflow
-    # while the block is built, which must neither warn (an error under this
-    # suite's filterwarnings) nor decide the outcome
+    # under a tolerance below round-off the first point fails its residual
+    # bound; points up to 1.7e308 overflow while the block is built, which
+    # must neither warn (an error under this suite's filterwarnings) nor
+    # decide the outcome
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
     argv = ["sweep", "--input", str(src), "--param", "A[0,0]",
-            "--lo", "1e300", "--hi", "1.7e308", "--step", "1e307"]
-    assert main(argv) == 1
+            "--lo", "1e300", "--hi", "1.7e308", "--step", "1e307", "--tol", "1e-300"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: H does not commute") and err.count("\n") == 1
+    assert err.startswith("numerical failure: eigenpair residual ") and err.count("\n") == 1
 
 
 def test_sweep_grid_past_the_float_range_is_silent(tmp_path, capsys):
     # lo + k * step is inf for the candidate points past 1.7e308; building the
-    # grid must not warn, and the grid keeps the point-by-point values
+    # grid must not warn, and the grid keeps the point-by-point values. The
+    # points classify, at any scale, up to the first one whose rotated H
+    # overflows: a non-finite entry, reported without a warning
     assert _sweep_grid(1e307, 1.7e308, 1e307) == _grid_loop(1e307, 1.7e308, 1e307)
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
@@ -410,15 +423,23 @@ def test_sweep_grid_past_the_float_range_is_silent(tmp_path, capsys):
             "--lo", "1e307", "--hi", "1.7e308", "--step", "1e307"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("input error: H does not commute") and err.count("\n") == 1
+    assert err == "input error: matrix contains NaN or Inf entries\n"
+    argv[argv.index("--hi") + 1] = "5e307"
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and {row.split(",")[-2] for row in rows} == {"unbroken"}
 
 
 def test_two_level_sweep_overflow_is_silent(capsys):
-    # the first failing point is s = 1e298, where the residual's sum of
-    # squares overflows; the residual bound rejects it with the true figure,
-    # and no RuntimeWarning is printed before it
+    # past s = 1e154 the residuals' sums of squares overflow; the relative
+    # bound passes every point, and no RuntimeWarning is printed
     argv = ["sweep", "--t", "1", "--param", "s", "--lo", "0", "--hi", "1e300", "--step", "1e298"]
-    assert main(argv) == 2
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[5] for row in rows] == ["unbroken"] + ["broken"] * 100
+    # under a tolerance below round-off the first failing point is s = 1e298
+    # (s = 0 is solved exactly), rejected with the true figure
+    assert main(argv + ["--tol", "1e-300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: eigenpair residual ") and err.count("\n") == 1
     # dgeev's own eigenpairs of the point's real Krein frame, their residual
@@ -430,6 +451,32 @@ def test_two_level_sweep_overflow_is_silent(capsys):
     w, x = np.linalg.eig(m)
     want = s * np.linalg.norm((m @ x - x * w) / s, axis=0).max()
     assert float(err.split()[4]) == pytest.approx(want, rel=1e-3)
+
+
+def test_block_sweep_to_large_entries_classifies(tmp_path, capsys):
+    # B[0,0] up to 2e6: every point is broken, none is a residual or
+    # commutation failure, as they were under absolute bounds
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]",
+            "--lo", "-1", "--hi", "2e6", "--step", "1e5"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[-2] for row in rows] == ["broken"] * 21
+
+
+@pytest.mark.parametrize("phi", ["1.5707963267948966", "0.7"])
+def test_two_level_sweep_phases_do_not_depend_on_units(capsys, phi):
+    # t = 1e7 over s in [0, 2e7] is t = 1 over s in [0, 2] in other units
+    def phases(t, hi, step):
+        argv = ["sweep", "--param", "s", "--phi", phi, "--t", t, "--lo", "0", "--hi", hi,
+                "--step", step]
+        assert main(argv) == 0
+        return [row.split(",")[5] for row in capsys.readouterr().out.splitlines()[1:]]
+
+    want = phases("1", "2", "0.01")
+    assert len(want) == 201 and {"unbroken", "broken", "exceptional"} <= set(want)
+    assert phases("1e7", "2e7", "1e5") == want
 
 
 def test_sweep_rows_match_fmt17_rows():
@@ -451,32 +498,40 @@ def test_sweep_rows_match_fmt17_rows():
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):
     # the block holds two residual failures; the earlier point decides, as it
     # would in a point-by-point sweep, though the stacked solve names the
-    # larger residual, the later point's. Both crafted pairs pass
-    # check_pt_pairs, whose products are exact for this diagonal parity
+    # worse residual, the later point's. Every other point is diagonal and
+    # solved exactly, so it meets even a tolerance below round-off; the
+    # crafted pairs pass check_pt_pairs, whose products are exact for this
+    # diagonal parity
     base = unbroken_system(3, 2, 1, 0)
-    form = np.array([[1, 0, 0.5j], [0, 2, 0], [0.5j, 0, 3]])
+    tol = 1e-300
     parity = np.diag([1.0, 1, -1])
-    scales = {0.25: 1e9, 0.75: 1e12}  # residuals near 1e-7 and 1e-4
-    original = pt.pt_matrices
+    exact = np.diag([1.0, 2, 3])
+    failing = {
+        0.25: np.array([[1, 0, 0.5j], [0, 2, 0], [0.5j, 0, 3]]),  # a residual of round-off
+        0.75: np.array([[1.7e308, 1e308, 0], [1e308, 1.7e308, 0], [0, 0, 1]]),  # an inf eigenvalue
+    }
 
     def crafted(blocks, spec):
-        h, p = original(blocks, spec)
-        p = np.broadcast_to(p, h.shape).copy()
+        h, _ = original(blocks, spec)
+        h[:] = exact
         for n, x in enumerate(blocks.b_block[:, 0, 0]):
-            if x in scales:
-                h[n], p[n] = scales[x] * form, parity
-        return h, p
+            if x in failing:
+                h[n] = failing[x]
+        return h, parity.astype(complex)
 
     def failure(*keys):
         with pytest.raises(pt.ConvergenceError) as exc:
-            pt.classify_stack(np.stack([scales[x] * form for x in keys]), parity)
+            pt.classify_stack(np.stack([failing[x] for x in keys]), parity, tol)
         return f"numerical failure: {exc.value}\n"
 
+    original = pt.pt_matrices
+    pt.classify_stack(exact[None], parity, tol)
     assert failure(0.25) != failure(0.25, 0.75) == failure(0.75)
     monkeypatch.setattr("ptmatrix.cli.pt_matrices", crafted)
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(base))
-    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--hi", "1", "--step", "0.125"]
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--hi", "1", "--step", "0.125",
+            "--tol", repr(tol)]
     assert main(argv + ["--lo", "0"]) == 2
     assert capsys.readouterr().err == failure(0.25)
     assert main(argv + ["--lo", "0.5"]) == 2

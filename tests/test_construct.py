@@ -228,12 +228,16 @@ def test_make_pt_system_builds_one_rotation(rng, monkeypatch):
 
 
 def test_make_pt_system_commutation_failure_names_residual():
-    # entries near 1e8 leave a commutation residual of round-off size above
-    # the absolute PT_COMMUTATION_TOL
+    # entries near 1e8 leave a commutation residual of round-off size, which
+    # the bound relative to max|H| accepts; a change of 1e-6 max|H| to one
+    # entry, which P does not keep, fails it and is named
     spec = pt.ParitySpec(2, 1, [0.3, 1.1, 2.0])
     blocks = pt.BlockForm([[1e8, 0.2], [0.2, -3e8]], [[2e8], [0.5]], [[7e7]])
-    with pytest.raises(ValueError, match=r"residual \S+ > PT_COMMUTATION_TOL 1e-10"):
-        pt.make_pt_system(blocks, spec)
+    sys = pt.make_pt_system(blocks, spec)
+    h = sys.h.copy()
+    h[0, 0] += 1e-6 * pt.max_abs(h)
+    with pytest.raises(ValueError, match=r"residual \S+ > PT_COMMUTATION_TOL \* max\|H\| = \S+\)"):
+        pt.check_pt_pairs(h, sys.p)
 
 
 def test_make_pt_system_identity_rotation(rng):
@@ -409,15 +413,17 @@ def test_check_pt_pairs_one_parity_for_a_stack():
 
 def test_check_pt_pairs_bounds_the_modulus_of_the_residual():
     # P conj(H) P - H has real and imaginary parts of 0.8e-10 each, both below
-    # PT_COMMUTATION_TOL, and a modulus of 1.131e-10 above it
+    # PT_COMMUTATION_TOL * max|H| (max|H| = 1), and a modulus of 1.131e-10
+    # above it
     a, e = 0.5 + 0.3j, -0.8e-10 * (1.0 + 1.0j)
-    h = np.array([[a + e, 0.7], [0.7, a.conjugate()]])
+    h = np.array([[a + e, 1.0], [1.0, a.conjugate()]])
     p = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     resid = p @ h.conj() @ p - h
     assert np.abs(resid.real).max() < 1e-10 and np.abs(resid.imag).max() < 1e-10
-    with pytest.raises(ValueError, match=r"residual 1\.131e-10 > PT_COMMUTATION_TOL 1e-10"):
+    with pytest.raises(ValueError, match=r"residual 1\.131e-10 > PT_COMMUTATION_TOL \* "
+                                         r"max\|H\| = 1\.000e-10"):
         pt.check_pt_pairs(h, p)
-    ok = np.array([[a, 0.7], [0.7, a.conjugate()]])
+    ok = np.array([[a, 1.0], [1.0, a.conjugate()]])
     pt.check_pt_pairs(ok, p)
     with pytest.raises(ValueError, match=r"residual 1\.131e-10"):
         pt.check_pt_pairs(np.stack([ok, h]), p)

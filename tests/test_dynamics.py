@@ -205,7 +205,7 @@ def _loop_trace(sys, c, a, b, t_max, steps, product):
 
 
 def _loop_nonunitarity(h, p, t_max, steps, seed):
-    w, v, _ = eig_arrays(h)
+    w, v, _, _ = eig_arrays(h)
     weight = pt.build_weight_matrix([v[:, k] for k in range(h.shape[0])], p)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])

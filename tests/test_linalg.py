@@ -1,3 +1,7 @@
+import importlib
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def test_eigendecompose_diagonal():
-    w, _, res = eig_arrays(np.diag([2.0, 0.0]))
+    w, _, res, _ = eig_arrays(np.diag([2.0, 0.0]))
     assert w.tolist() == [0.0, 2.0]  # sorted by (re, im)
     assert (res <= 1e-14).all()
 
@@ -72,7 +76,7 @@ def test_lapack_failure_raises_convergence_error(monkeypatch):
 def test_residual_contract(dim, rng):
     for _ in range(25):
         m = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-        _, v, res = eig_arrays(m, tol=1e-10)
+        _, v, res, _ = eig_arrays(m, tol=1e-10)
         assert res.max() <= 1e-10
         for k in range(dim):
             np.testing.assert_allclose(np.linalg.norm(v[:, k]), 1.0, atol=1e-12)
@@ -90,9 +94,14 @@ def _scaled_residual(h, s):
     ([[1.7e308, 1e308], [1e308, 1.7e308]], "nan"),  # an eigenvalue is inf
 ])
 def test_overflowing_residual_is_rejected_without_warning(m, bad):
+    # the finite residual is round-off relative to ||H||_F, so only a
+    # tolerance below round-off rejects it; a NaN residual fails at any tol
     h = np.array(m, dtype=complex)
+    if bad == "finite":
+        assert eig_arrays(h)[2].max() > 1e280
+    tol = 1e-300 if bad == "finite" else pt.DEFAULT_TOL
     with pytest.raises(pt.ConvergenceError, match="above tolerance") as exc:
-        eig_arrays(h)
+        eig_arrays(h, tol)
     figure = str(exc.value).split()[2]
     if bad == "nan":
         assert figure == "nan"
@@ -103,14 +112,29 @@ def test_overflowing_residual_is_rejected_without_warning(m, bad):
 @pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
 def test_overflowing_cluster_gap_keeps_the_residual(s):
     # ||H||_F^2 overflows here; the cluster gap must not become inf, which
-    # would join both eigenvalues into one cluster and rewrite its columns
-    # (the message then read "residual 1.000e+00"), and
-    # the residual's own sum of squares overflows past s = 1e154
+    # would join both eigenvalues into one cluster and rewrite its columns,
+    # and the residual's own sum of squares overflows past s = 1e154. The
+    # relative bound accepts the pair; a tolerance below round-off rejects
+    # it with the true figure
     h = pt.h2(pt.TwoByTwoParams(0.0, s, 1.0, np.pi / 2))
+    data = pt.classify_phase(pt.pt_system_from_matrices(h, pt.p2(np.pi / 2)))
+    assert data.phase is pt.Phase.BROKEN and data.conjugate_pairs == 1
+    assert data.w[1] == data.w[0].conjugate() != data.w[0]
     with pytest.raises(pt.ConvergenceError) as exc:
-        eig_arrays(h)
+        eig_arrays(h, 1e-300)
     figure = float(str(exc.value).split()[2])
     assert figure == pytest.approx(_scaled_residual(h, s), rel=1e-3)
+
+
+def test_infinite_residual_fails_where_the_norm_is_infinite(monkeypatch):
+    # ||M||_F overflows to inf, so tol * ||M||_F is inf too; an inf residual
+    # must still fail, which inf <= tol * inf alone would let through
+    m = np.full((1, 2, 2), 1.7e308)
+    assert np.isinf(frobenius_norms(m)).all()
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (np.zeros(a.shape[:-1]), np.eye(2)[None]))
+    with pytest.raises(pt.ConvergenceError, match=r"eigenpair residual inf above tolerance "
+                                                  r"1.000e-10 \* \|\|M\|\|_F = inf"):
+        eig_arrays(m)
 
 
 def test_frobenius_norms_of_large_entries_stay_finite():
@@ -135,14 +159,14 @@ def test_eig_real_overflowing_residual_is_rejected_without_warning():
 
 def test_real_input_is_solved_by_dgeev_with_exact_conjugate_pairs(rng):
     m = rng.uniform(-1, 1, (64, 5, 5))
-    w, x, res = eig_arrays(m)
+    w, x, res, _ = eig_arrays(m)
     assert w.dtype == np.complex128 and x.flags.c_contiguous and res.max() <= 1e-10
     for row_w, row_x in zip(w, x):
         for k in np.flatnonzero(row_w.imag < 0.0):
             # a conjugate pair sorts -Im first; its partner is the exact conjugate
             assert row_w[k + 1] == row_w[k].conjugate()
             np.testing.assert_array_equal(row_x[:, k + 1], row_x[:, k].conj())
-    _, x_real, _ = eig_arrays(np.diag([3.0, 1.0, 2.0]))
+    _, x_real, _, _ = eig_arrays(np.diag([3.0, 1.0, 2.0]))
     assert x_real.dtype == np.float64
 
 
@@ -190,7 +214,7 @@ def test_eigendecompose_rejects_bad_input():
 def test_eigendecompose_solves_beyond_64():
     # no dimension cap: D = 65 solves like any other size
     diag = np.arange(65, 0, -1) / 7.0
-    w, _, res = eig_arrays(np.diag(diag))
+    w, _, res, _ = eig_arrays(np.diag(diag))
     assert res.max() <= pt.DEFAULT_TOL
     np.testing.assert_array_equal(w, np.sort(diag))
 
@@ -200,7 +224,7 @@ def test_defective_input_keeps_residual_contract():
     # residual, and inverting the eigenvector matrix flags it as singular
     jordan = np.eye(4, k=1) + 2 * np.eye(4)
     for m in (jordan, jordan.astype(complex)):
-        w, v, res = eig_arrays(m)
+        w, v, res, _ = eig_arrays(m)
         assert res.max() <= 1e-12
         np.testing.assert_allclose(w, [2.0] * 4, atol=1e-8)
         with pytest.raises(pt.ExceptionalPointError):
@@ -215,3 +239,25 @@ def test_predicates():
     assert not pt.is_symmetric(np.array([[0, 1], [-1, 0]]))
     assert not pt.is_hermitian(np.array([[0, 1j], [1j, 0]]))
     assert pt.is_symmetric(np.array([[0, 1j], [1j, 0]]))
+
+
+THRESHOLD_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(?:TOL|RTOL|CAP|GAP|LIMIT|THRESHOLD)\b")
+# a table row: the name, an optional alias in parentheses, the value
+POLICY_ROW = re.compile(rf"({THRESHOLD_NAME.pattern})(?: \(\w+\))? +(\S+) ")
+
+
+def test_every_threshold_is_in_the_policy_table():
+    # each module-level threshold of the package has a row in the linalg
+    # docstring's table, with its value; each row names a live threshold
+    table = pt.linalg.__doc__.split("Tolerance policy", 1)[1]
+    rows = {}
+    for line in table.splitlines():
+        if match := POLICY_ROW.match(line):
+            rows[match.group(1)] = float(match.group(2))
+    found = {}
+    for info in pkgutil.iter_modules(pt.__path__):
+        module = importlib.import_module(f"ptmatrix.{info.name}")
+        for name, value in vars(module).items():
+            if THRESHOLD_NAME.fullmatch(name):
+                found.setdefault(name, value)
+    assert found == rows

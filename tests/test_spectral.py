@@ -247,7 +247,7 @@ def test_scan_verdict_agrees_with_classify_phase_under_rotation(mp, mm):
         seeds = sorted({*range(300), *UNBROKEN_SEEDS.get((mp + mm, mp, mm), [])})
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
     frames = pt.construct.block_frame(draws, mp, mm)
-    w, x, _ = pt.eig_arrays(frames)
+    w, x, _, _ = pt.eig_arrays(frames)
     scale = pt.linalg.frobenius_norms(frames)
     real = pt.linalg.real_mask(w, scale).all(axis=1)
     scan = np.zeros(len(draws), dtype=bool)
@@ -272,9 +272,9 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
     seeds = [*range(4096), *frozen]
     draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
     frames = pt.construct.block_frame(draws, mp, mm)
-    w, _, res = pt.eig_arrays(frames, tol)
+    w, _, res, _ = pt.eig_arrays(frames, tol)
     h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
-    wc, _, resc = pt.eig_arrays(h0, tol)
+    wc, _, resc, _ = pt.eig_arrays(h0, tol)
     mask = pt.linalg.real_mask(w, pt.linalg.frobenius_norms(frames)).all(axis=1)
     # the reference: H0's complex spectrum, each eigenvalue real within tol
     real_c = np.abs(wc.imag) <= tol * np.maximum(1.0, np.abs(wc))
@@ -290,10 +290,14 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
 
 
 def test_scan_prescreen_keeps_the_residual_bound():
-    # block entries of about 1e7 put the residuals near 1e-9, above the absolute tol
+    # block entries of about 1e7 put the residuals near 1e-9, within tol *
+    # ||M||_F; a tolerance below round-off fails them
     draws = 1e7 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, pt.construct.block_draw_count(6, 2)))
-    with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-10"):
-        pt.eig_arrays(pt.construct.block_frame(draws, 6, 2), 1e-10)
+    frames = pt.construct.block_frame(draws, 6, 2)
+    res, norms = pt.eig_arrays(frames, 1e-10)[2:]
+    assert res.max() > 1e-10 and (res <= 1e-10 * norms[:, None]).all()
+    with pytest.raises(pt.ConvergenceError, match=r"above tolerance 1.000e-300 \* \|\|M\|\|_F"):
+        pt.eig_arrays(frames, 1e-300)
     # in a scan, the failing prescreen raises for the whole block
     with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-18"):
         pt.find_unbroken_seeds(8, (6, 2), 1, tol=1e-18)
@@ -556,12 +560,24 @@ def test_pontryagin_bound(mp, mm):
 
 
 def test_classify_stack_residual_bound_covers_every_row():
-    ok = two_level_system(0.1, 0.4, 1.0, 0.7)
-    big = pt.h2(pt.TwoByTwoParams(0.0, 0.5e7, 1e7, 0.7))  # residual above the absolute tol
-    h = np.stack([ok.h, ok.h, big])
-    p = np.stack([ok.p, ok.p, ok.p])
-    pt.classify_stack(h[:2], p[:2])
-    with pytest.raises(pt.ConvergenceError):
+    # at phi = 0 and s = 0 the two-level H is diagonal and solved exactly, so
+    # it meets even a tolerance below round-off; the last row does not
+    exact = two_level_system(0.1, 0.0, 1.0, 0.0)
+    rounded = two_level_system(0.1, 0.4, 1.0, 0.0)
+    h = np.stack([exact.h, exact.h, rounded.h])
+    pt.classify_stack(h[:2], exact.p, 1e-300)
+    with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-300"):
+        pt.classify_stack(h, exact.p, 1e-300)
+    # at the default tol, a non-finite residual in the last row fails too
+    # (an eigenvalue past the float range), though its ||M||_F is inf
+    p = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    h = np.zeros((3, 3, 3), dtype=complex)
+    h[:, 2, 2] = 1.0
+    h[:, :2, :2] = [[1.0, 0.5], [0.5, 1.0]]
+    h[2, :2, :2] = [[1.7e308, 1e308], [1e308, 1.7e308]]
+    pt.classify_stack(h[:2], p)
+    with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above tolerance "
+                                                  r"1.000e-10 \* \|\|M\|\|_F = inf"):
         pt.classify_stack(h, p)
 
 
@@ -641,7 +657,7 @@ def test_real_products_match_the_complex_formulas(name):
     m_ref, qs = _complex_frame(h, p)
     assert np.abs(m - m_ref.real).max() <= 1e-13 * scale
     assert np.abs(residue - m_ref.imag).max() <= 1e-13 * scale
-    w, x, res = pt.eig_arrays(m)
+    w, x, res, _ = pt.eig_arrays(m)
     assert np.abs(res - _complex_residuals(m, x, w)).max() <= 1e-13 * scale
     assert np.abs(spectral._frame_vectors(q, plus, x) - qs @ x).max() <= 1e-14
     got = pt.classify_stack(h, p)
