@@ -37,22 +37,13 @@ from .construct import (
     make_rotation,
     max_signature,
     parameter_table,
-    pt_commutes,
     pt_matrices,
     pt_system_from_matrices,
     random_pt_system,
 )
 from .dynamics import EvolutionTrace, NonunitarityResult, evolve, nonunitarity_demo, unitarity_trace
 from .errors import BrokenPhaseError, ConvergenceError, ExceptionalPointError
-from .linalg import (
-    DEFAULT_TOL,
-    eig_arrays,
-    is_hermitian,
-    is_orthogonal,
-    is_real,
-    is_symmetric,
-    max_abs,
-)
+from .linalg import DEFAULT_TOL, eig_arrays, max_abs
 from .spectral import (
     Phase,
     PhaseStack,
@@ -96,10 +87,6 @@ __all__ = [
     "evolve",
     "find_unbroken_seeds",
     "h2",
-    "is_hermitian",
-    "is_orthogonal",
-    "is_real",
-    "is_symmetric",
     "make_h0",
     "make_p0",
     "make_parity",
@@ -112,7 +99,6 @@ __all__ = [
     "p3",
     "parameter_table",
     "pt_apply",
-    "pt_commutes",
     "pt_inner",
     "pt_matrices",
     "pt_system_from_matrices",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, is_hermitian, is_real, is_symmetric, max_abs
+from .linalg import as_matrix, max_abs
 
 SYMMETRY_TOL = 1e-12
 PT_COMMUTATION_TOL = 1e-10
@@ -217,9 +217,7 @@ def check_pt_pairs(h: np.ndarray, p: np.ndarray) -> None:
     if _first_row_above(h - h.swapaxes(-1, -2), SYMMETRY_TOL * size) is not None:
         raise ValueError("H must be symmetric")
     _check_parities(p)
-    # P is real, so P conj(H) P - H is (P Re H P - Re H) - i (P Im H P + Im H)
-    pr, hr, hi = p.real, h.real, h.imag
-    resid = np.hypot(pr @ hr @ pr - hr, pr @ hi @ pr + hi)
+    resid = _pt_residual(h, p)
     n = _first_row_above(resid, PT_COMMUTATION_TOL * size)
     if n is not None:
         raise ValueError(
@@ -227,6 +225,14 @@ def check_pt_pairs(h: np.ndarray, p: np.ndarray) -> None:
             f"{resid.reshape(-1, h.shape[-1] ** 2)[n].max():.3e} > PT_COMMUTATION_TOL * "
             f"max|H| = {PT_COMMUTATION_TOL * size[n]:.3e})"
         )
+
+
+def _pt_residual(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|P conj(H) P - H| entrywise, for one matrix h or a stack, with P real
+    (a validated parity): P conj(H) P - H is (P Re H P - Re H) - i (P Im H P
+    + Im H)."""
+    pr, hr, hi = p.real, h.real, h.imag
+    return np.hypot(pr @ hr @ pr - hr, pr @ hi @ pr + hi)
 
 
 def _first_row_above(diff: np.ndarray, bound: np.ndarray) -> int | None:
@@ -310,33 +316,32 @@ def max_signature(d: int) -> tuple[int, int]:
     return (d + 1) // 2, d // 2
 
 
-def pt_commutes(h, p, tol: float = DEFAULT_TOL, conjugate_transpose: bool = False) -> bool:
-    """Whether P (T h) P == h, with T either plain conjugation or
-    conjugate-transpose. For symmetric h the two predicates coincide
-    entrywise."""
-    hm = as_matrix(h)
-    pm = as_matrix(p)
-    ht = hm.conj().T if conjugate_transpose else hm.conj()
-    return max_abs(pm @ ht @ pm - hm) <= tol
-
-
-def classify_matrix(m, p=None, tol: float = DEFAULT_TOL) -> set[MatrixClass]:
-    """Membership flags by direct predicate evaluation.
+def classify_matrix(m, p=None) -> set[MatrixClass]:
+    """Membership flags of m, each bound relative to max|m|, so m -> km keeps
+    every flag: SYMMETRIC within SYMMETRY_TOL of max|m - m^T|, HERMITIAN
+    within SYMMETRY_TOL of max|m - m^H|, REAL_SYMMETRIC both (together they
+    bound max|Im m| by the same), and PT_SYMMETRIC within PT_COMMUTATION_TOL
+    of max|P conj(m) P - m|: the bounds check_pt_pairs enforces, so every
+    pair that pt_system_from_matrices accepts is SYMMETRIC and PT_SYMMETRIC.
 
     PT_SYMMETRIC is only decidable when a parity is supplied; an invalid
-    parity (not a real symmetric involution) raises.
+    parity (not a real symmetric involution) raises, and so does a
+    non-finite m.
     """
     a = as_matrix(m)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    size = np.atleast_1d(max_abs(a))
     flags: set[MatrixClass] = set()
-    if is_symmetric(a, tol):
+    if _first_row_above(a - a.T, SYMMETRY_TOL * size) is None:
         flags.add(MatrixClass.SYMMETRIC)
-    if is_hermitian(a, tol):
+    if _first_row_above(a - a.conj().T, SYMMETRY_TOL * size) is None:
         flags.add(MatrixClass.HERMITIAN)
-    if is_real(a, tol) and is_symmetric(a, tol):
+    if {MatrixClass.SYMMETRIC, MatrixClass.HERMITIAN} <= flags:
         flags.add(MatrixClass.REAL_SYMMETRIC)
     if p is not None:
-        pm = validate_parity(p)
-        if pt_commutes(a, pm, tol):
+        resid = _pt_residual(a, validate_parity(p))
+        if _first_row_above(resid, PT_COMMUTATION_TOL * size) is None:
             flags.add(MatrixClass.PT_SYMMETRIC)
     return flags
 

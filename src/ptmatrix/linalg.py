@@ -39,9 +39,12 @@ COND_CAP                 1e8    cond(V) of eigenvector columns:      scale-free
                                 basis (algebra.build_weight_matrix)
 SYMMETRY_TOL             1e-12  max|H - H^T| (check_pt_pairs; the    max|H| of the matrix
                                 asymmetric route of cli evolve);
-                                max|A - A^T|, max|C - C^T| (make_h0)
+                                max|A - A^T|, max|C - C^T|
+                                (make_h0); max|H - H^T| and
+                                max|H - H^H| (classify_matrix)
 PT_COMMUTATION_TOL       1e-10  max|P conj(H) P - H|                 max|H| of the matrix
-                                (check_pt_pairs); max|Im M| / D
+                                (check_pt_pairs, classify_matrix);
+                                max|Im M| / D
                                 (spectral._check_real_frame)
                                 max|Im P|, max|P - P^T| and          1 (P is orthogonal)
                                 max|P^2 - I| (validate_parity)
@@ -56,11 +59,6 @@ COMMUTATOR_REL_THRESHOLD 1e-3   max|[W, H]| of a conclusive drift    max|H|
 DRIFT_FLAG_THRESHOLD     1e-6   the drift of an evolve trace that    1 (unit states)
                                 flags exit code 3 (cli)
 ======================== ====== ==================================== ====================
-
-The matrix-class predicates (is_symmetric, is_hermitian, is_real,
-is_orthogonal, construct.pt_commutes, construct.classify_matrix) take their
-own absolute tol, DEFAULT_TOL by default; they report classes and decide no
-verdict.
 """
 
 from __future__ import annotations
@@ -90,25 +88,6 @@ def max_abs(m) -> float:
     """Largest entry magnitude (0 for empty arrays)."""
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def is_symmetric(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    return max_abs(a - a.T) <= tol
-
-
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    return max_abs(a - a.conj().T) <= tol
-
-
-def is_real(m, tol: float = DEFAULT_TOL) -> bool:
-    return max_abs(np.asarray(m).imag) <= tol
-
-
-def is_orthogonal(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    return max_abs(a.T @ a - np.eye(a.shape[0])) <= tol
 
 
 def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:

@@ -76,7 +76,7 @@ def test_generate_real_symmetric_when_no_negative_parity(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     h, p, _ = system_matrices_from_obj(read_json(out))
-    assert pt.is_real(h, 1e-12) and pt.is_symmetric(h, 1e-12)
+    assert pt.max_abs(h.imag) <= 1e-12 and pt.max_abs(h - h.T) <= 1e-12
     np.testing.assert_allclose(p.real, np.eye(3), atol=1e-12)
 
 
@@ -135,6 +135,17 @@ def test_analyze_overlap_class(tmp_path, capsys):
         "real_symmetric",
         "symmetric",
     ]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e7, 1e-11])
+def test_analyze_classes_do_not_depend_on_units(tmp_path, capsys, scale):
+    # at an absolute bound, 1e7 H lost pt_symmetric and 1e-11 H, complex, was
+    # flagged hermitian and real_symmetric
+    sys_ = unbroken_system(8, 6, 2, 0)
+    scaled = pt.pt_system_from_matrices(scale * sys_.h, sys_.p)
+    code, report = analyze_report(tmp_path, capsys, system_to_obj(scaled))
+    assert code == 0
+    assert report["classes"] == ["pt_symmetric", "symmetric"]
 
 
 def test_analyze_round_trip_preserves_h(tmp_path, capsys):

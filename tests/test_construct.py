@@ -122,7 +122,7 @@ def test_parity_invariants(mp, mm, rng):
         spec = pt.ParitySpec(mp, mm, rng.uniform(0, 2 * np.pi, d * (d - 1) // 2))
         p = pt.make_parity(spec)
         assert pt.max_abs(p - p.T) == 0.0  # exactly symmetric by construction
-        assert pt.is_real(p, 0.0)
+        assert pt.max_abs(p.imag) == 0.0
         assert pt.max_abs(p @ p - np.eye(d)) <= 1e-12
         w = sorted(pt.eig_arrays(p)[0].real)
         np.testing.assert_allclose(w, [-1.0] * mm + [1.0] * mp, atol=1e-10)
@@ -137,8 +137,8 @@ def test_make_h0_zero_coupling_is_real_symmetric(rng):
     a = rng.uniform(-1, 1, (2, 2))
     c = rng.uniform(-1, 1, (2, 2))
     h0 = pt.make_h0(pt.BlockForm((a + a.T) / 2, np.zeros((2, 2)), (c + c.T) / 2))
-    assert pt.is_real(h0, 0.0)
-    assert pt.is_symmetric(h0, 0.0)
+    assert pt.max_abs(h0.imag) == 0.0
+    assert pt.max_abs(h0 - h0.T) == 0.0
 
 
 def test_make_h0_commutation(rng):
@@ -146,7 +146,7 @@ def test_make_h0_commutation(rng):
         blocks = pt.construct.random_blocks(rng, mp, mm)
         h0 = pt.make_h0(blocks)
         p0 = pt.make_p0(mp, mm)
-        assert pt.is_symmetric(h0, 0.0)
+        assert pt.max_abs(h0 - h0.T) == 0.0
         assert pt.max_abs(p0 @ h0.conj() - h0 @ p0) <= 1e-12
 
 
@@ -338,6 +338,14 @@ def test_classify_matrix_invalid_parity():
         pt.classify_matrix(np.eye(2), p=np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classify_matrix_rejects_non_finite_entries(bad):
+    # a NaN residual compares false against every bound, which would set
+    # every flag; check_pt_pairs rejects the same input
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        pt.classify_matrix(np.array([[1.0, bad], [bad, 1.0]]), p=np.eye(2))
+
+
 def test_hermitian_and_symmetric_implies_real_symmetric(rng):
     # flags alone must already encode the class overlap
     for _ in range(50):
@@ -411,19 +419,31 @@ def test_check_pt_pairs_one_parity_for_a_stack():
         pt.check_pt_pairs(h, 2.0 * one)
 
 
-def test_check_pt_pairs_bounds_the_modulus_of_the_residual():
-    # P conj(H) P - H has real and imaginary parts of 0.8e-10 each, both below
-    # PT_COMMUTATION_TOL * max|H| (max|H| = 1), and a modulus of 1.131e-10
-    # above it
+def _modulus_pairs():
+    """(h, ok, p): for h, P conj(H) P - H has real and imaginary parts of
+    0.8e-10 each, both below PT_COMMUTATION_TOL * max|H| (max|H| = 1), and a
+    modulus of 1.131e-10 above it; ok commutes exactly."""
     a, e = 0.5 + 0.3j, -0.8e-10 * (1.0 + 1.0j)
     h = np.array([[a + e, 1.0], [1.0, a.conjugate()]])
-    p = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    ok = np.array([[a, 1.0], [1.0, a.conjugate()]])
+    return h, ok, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def test_check_pt_pairs_bounds_the_modulus_of_the_residual():
+    h, ok, p = _modulus_pairs()
     resid = p @ h.conj() @ p - h
     assert np.abs(resid.real).max() < 1e-10 and np.abs(resid.imag).max() < 1e-10
     with pytest.raises(ValueError, match=r"residual 1\.131e-10 > PT_COMMUTATION_TOL \* "
                                          r"max\|H\| = 1\.000e-10"):
         pt.check_pt_pairs(h, p)
-    ok = np.array([[a, 1.0], [1.0, a.conjugate()]])
     pt.check_pt_pairs(ok, p)
     with pytest.raises(ValueError, match=r"residual 1\.131e-10"):
         pt.check_pt_pairs(np.stack([ok, h]), p)
+
+
+def test_classify_matrix_pt_flag_is_the_admission_check():
+    # the flag and check_pt_pairs apply one bound to one residual, so the
+    # pair it rejects by the modulus alone is not flagged, and ok is
+    h, ok, p = _modulus_pairs()
+    assert pt.classify_matrix(h, p) == {pt.MatrixClass.SYMMETRIC}
+    assert pt.classify_matrix(ok, p) == {pt.MatrixClass.SYMMETRIC, pt.MatrixClass.PT_SYMMETRIC}

@@ -1,5 +1,6 @@
 """Verdicts are properties of the pair (H, P): they must not change under
 H -> kH, H -> H + rI, a common rotation of (H, P), or the BLAS thread count.
+Nor must the class flags of classify_matrix under H -> kH or a rotation.
 
 The corpus is every frozen unbroken system (tests/_seeds.py) plus the
 (6, 4, 2) seeds 0..39, which are mostly broken.
@@ -53,9 +54,11 @@ def _assert_same_c(want: pt.SpectralData, got: pt.SpectralData, p_want, p_got, r
 def test_verdict_and_c_are_scale_invariant(index, exponent):
     sys = _system(index)
     want = pt.classify_phase(sys)
-    got = _classify(10.0 ** exponent * sys.h, sys.p)
+    h = 10.0 ** exponent * sys.h
+    got = _classify(h, sys.p)
     assert _verdict(got) == _verdict(want)
     _assert_same_c(want, got, sys.p, sys.p)
+    assert pt.classify_matrix(h, sys.p) == pt.classify_matrix(sys.h, sys.p)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -77,10 +80,12 @@ def test_verdict_and_c_are_rotation_invariant(index, seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((sys.dim, sys.dim)))
     rot = q * np.sign(np.diag(r))
     want = pt.classify_phase(sys)
-    p = rot @ sys.p @ rot.T
-    got = _classify(rot @ sys.h @ rot.T, (p + p.T) / 2.0)
+    h, p = rot @ sys.h @ rot.T, rot @ sys.p @ rot.T
+    p = (p + p.T) / 2.0
+    got = _classify(h, p)
     assert _verdict(got) == _verdict(want)
-    _assert_same_c(want, got, sys.p, (p + p.T) / 2.0, rot)
+    _assert_same_c(want, got, sys.p, p, rot)
+    assert pt.classify_matrix(h, p) == pt.classify_matrix(sys.h, sys.p)
 
 
 @pytest.mark.parametrize("change", ["1e5", "1e7", "1e12", "+1e6"])

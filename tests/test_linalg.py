@@ -232,13 +232,11 @@ def test_defective_input_keeps_residual_contract():
 
 
 def test_predicates():
-    assert pt.is_symmetric(SWAP)
-    assert pt.is_hermitian(SWAP)
-    assert pt.is_real(SWAP)
-    assert pt.is_orthogonal(SWAP)
-    assert not pt.is_symmetric(np.array([[0, 1], [-1, 0]]))
-    assert not pt.is_hermitian(np.array([[0, 1j], [1j, 0]]))
-    assert pt.is_symmetric(np.array([[0, 1j], [1j, 0]]))
+    # SWAP is real symmetric and orthogonal, so it is its own parity
+    assert pt.max_abs(SWAP.T @ SWAP - np.eye(2)) == 0.0
+    assert pt.classify_matrix(SWAP, SWAP) == set(pt.MatrixClass)
+    assert pt.classify_matrix(np.array([[0, 1], [-1, 0]])) == set()
+    assert pt.classify_matrix(np.array([[0, 1j], [1j, 0]])) == {pt.MatrixClass.SYMMETRIC}
 
 
 THRESHOLD_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(?:TOL|RTOL|CAP|GAP|LIMIT|THRESHOLD)\b")
