@@ -58,9 +58,10 @@ EXIT_NUMERICAL = 2
 EXIT_UNITARITY = 3
 
 DRIFT_FLAG_THRESHOLD = 1e-6
-# sweep grid points classified per stacked solve: large enough that per-point
-# Python work is gone, small enough that memory does not grow with the grid
-SWEEP_BLOCK = 512
+# matrix entries classified per stacked solve: a block of 2^15 // D^2 grid
+# points is large enough that per-point Python work is gone, small enough
+# that memory does not grow with the grid (512 points at D = 8)
+SWEEP_ENTRIES = 2**15
 # what a grid point can raise; main maps each to its exit code
 _POINT_ERRORS = (ValueError, ConvergenceError, ExceptionalPointError, BrokenPhaseError)
 # the sweep's phase column of each PhaseStack code
@@ -326,6 +327,11 @@ def _sweep_rows(values: list[float], w: np.ndarray, codes: np.ndarray,
     return format_rows("%.17g," * (cols.shape[1] - 2) + "%s,%.17g\n", cols)
 
 
+def sweep_block(dim: int) -> int:
+    """Grid points per stacked solve of a sweep of D x D systems."""
+    return max(1, SWEEP_ENTRIES // (dim * dim))
+
+
 def cmd_sweep(args) -> int:
     values = _sweep_grid(args.lo, args.hi, args.step)
     if args.input is None:
@@ -335,8 +341,9 @@ def cmd_sweep(args) -> int:
     eig_cols = "".join(f"re_{k},im_{k}," for k in range(dim))
     out = io.StringIO()
     out.write(f"value,{eig_cols}phase,min_gap\n")
-    for lo in range(0, len(values), SWEEP_BLOCK):
-        block = values[lo:lo + SWEEP_BLOCK]
+    size = sweep_block(dim)
+    for lo in range(0, len(values), size):
+        block = values[lo:lo + size]
         data = _classify_points(*points(block), args.tol)
         out.write(_sweep_rows(block, data.w, data.codes, _min_gaps(data.w)))
     _emit(out.getvalue(), args.out)

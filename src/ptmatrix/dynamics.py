@@ -10,11 +10,16 @@ product of two evolving states; both take the classification of H
 V^-1, so H is solved once per system. Only the asymmetric route,
 nonunitarity_demo, which has no parity to classify with, solves H itself
 (LAPACK zgeev). A trace folds V, V^-1 and the product's matrix into one
-D x D Gram matrix: a block of TIME_BLOCK times costs one (T, D) array of
-phases exp(-iwt) and one (T, D) @ (D, D) product. A non-finite time or
-horizon is a ValueError; a state or sample that overflows (large t, or
-growing modes of a non-Hermitian H) is a ConvergenceError naming the first
-such time.
+D x D Gram matrix and samples a uniform grid from 0. Its phases come from
+one table exp(-iw t) over the first TIME_BLOCK times: the block from
+times[lo] is that table times exp(-iw times[lo]), so a block costs D
+exponentials and one (T, D) @ (D, D) product. Each phase is the product of
+at most two directly evaluated exponentials, with no recurrence, so at any
+step it differs from exp(-iwt) by about eps |w| t: the round-off that the
+argument w t of the direct form already carries. evolve takes arbitrary
+times and evaluates exp(-iwt) directly. A non-finite time or horizon is a
+ValueError; a state or sample that overflows (large t, or growing modes of
+a non-Hermitian H) is a ConvergenceError naming the first such time.
 """
 
 from __future__ import annotations
@@ -92,23 +97,37 @@ def _grid(t_max: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, t_max, steps)
 
 
-def _sample(times: np.ndarray, block_values) -> np.ndarray:
-    """Fill one complex sample per time, TIME_BLOCK times at a time.
+def _sample(times: np.ndarray, rate: np.ndarray, left: np.ndarray, gram: np.ndarray,
+            right: np.ndarray, bra_rate: np.ndarray | None = None) -> np.ndarray:
+    """The samples bra(t) @ gram @ (exp(t rate) * right) over a uniform grid
+    of times from 0, with bra(t) = exp(t bra_rate) * left, or
+    conj(exp(t rate) * left) when bra_rate is None.
 
-    block_values(block) returns the samples of one block of times. Overflow
-    in exp(-iHt) is expected for large t, so it is computed silently and then
-    reported as ConvergenceError at the first non-finite sample.
+    Each rate's phases come from one table head = exp(times[:TIME_BLOCK] rate):
+    the block from times[lo] is head * exp(times[lo] rate), the product of two
+    directly evaluated exponentials, since times[lo + k] = times[lo] + times[k]
+    to round-off. Overflow in exp(-iHt) is expected for large t, so it is
+    computed silently and reported as ConvergenceError at the first time whose
+    sample, or whose phase argument t rate, is not finite, as evaluating
+    exp(t rate) directly would report it.
     """
+    rates = [rate] if bra_rate is None else [rate, bra_rate]
+    # t rate is finite exactly when t times the rate's largest component is
+    reach = np.max(np.abs(np.concatenate(rates).view(np.float64)), initial=0.0)
     vals = np.empty(times.shape[0], dtype=np.complex128)
-    for lo in range(0, times.shape[0], TIME_BLOCK):
-        block = times[lo:lo + TIME_BLOCK]
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = block_values(block)
-        bad = ~np.isfinite(got)
-        if bad.any():
-            t = float(block[np.argmax(bad)])
-            raise ConvergenceError(f"non-finite inner product at t = {t!r}")
-        vals[lo:lo + TIME_BLOCK] = got
+    with np.errstate(over="ignore", invalid="ignore"):
+        heads = [np.exp(np.multiply.outer(times[:TIME_BLOCK], r)) for r in rates]
+        for lo in range(0, times.shape[0], TIME_BLOCK):
+            block = times[lo:lo + TIME_BLOCK]
+            phases = [head if lo == 0 else head[:block.shape[0]] * np.exp(times[lo] * r)
+                      for head, r in zip(heads, rates)]
+            bra = (phases[0] * left).conj() if bra_rate is None else phases[1] * left
+            got = np.einsum("tj,tj->t", bra @ gram, phases[0] * right)
+            bad = ~(np.isfinite(got) & np.isfinite(block * reach))
+            if bad.any():
+                t = float(block[np.argmax(bad)])
+                raise ConvergenceError(f"non-finite inner product at t = {t!r}")
+            vals[lo:lo + TIME_BLOCK] = got
     return vals
 
 
@@ -146,12 +165,7 @@ def unitarity_trace(
     times = _grid(t_max, steps)
     gram = data.v.conj().T @ form @ data.v
     alpha, beta = np.stack([av, bv]) @ eigvec_inverse(data.v).T
-
-    def block_values(block: np.ndarray) -> np.ndarray:
-        phases = np.exp(np.multiply.outer(block, -1j * data.w))
-        return np.einsum("tj,tj->t", (phases * alpha).conj() @ gram, phases * beta)
-
-    vals = _sample(times, block_values)
+    vals = _sample(times, -1j * data.w, alpha, gram, beta)
     drift = float(np.max(np.abs(vals - vals[0])))
     return EvolutionTrace(times=times, inner_products=vals, max_drift=drift)
 
@@ -198,12 +212,7 @@ def nonunitarity_demo(
     # the bra row evolves as (a,t| = (a,0| V diag(exp(iwt)) V^-1; for symmetric
     # H this is PT-conjugating the evolved ket, for asymmetric H it is not
     gram, left, right = vinv @ weight @ v, pt_apply(a, pm) @ v, vinv @ b
-
-    def block_values(block: np.ndarray) -> np.ndarray:
-        bra = np.exp(np.multiply.outer(block, 1j * w)) * left
-        return np.einsum("tj,tj->t", bra @ gram, np.exp(np.multiply.outer(block, -1j * w)) * right)
-
-    vals = _sample(times, block_values)
+    vals = _sample(times, -1j * w, left, gram, right, bra_rate=1j * w)
     drift = float(np.max(np.abs(vals - vals[0])))
     trace = EvolutionTrace(times=times, inner_products=vals, max_drift=drift)
     return NonunitarityResult(trace=trace, commutator_norm=float(comm), conclusive=bool(conclusive))

@@ -7,9 +7,10 @@ round-trip representation, so identical inputs serialize byte-identically and
 parse back exactly. CSV uses 17 significant digits, '.' decimals, comma
 delimiters and LF line endings.
 
-The evolution-trace CSV formats each distinct value of a block of rows once,
-into a table of fixed-width ASCII fields, and builds the rows from that table
-as bytes; the text is byte-identical to formatting every field with fmt17.
+The evolution-trace CSV formats each distinct value of the trace's product
+once, into one table of fixed-width ASCII fields, formats the time grid
+straight into the same fields, and builds the rows as bytes; the text is
+byte-identical to formatting every field with fmt17.
 """
 
 from __future__ import annotations
@@ -180,21 +181,29 @@ _FIELD = 25
 _SEPARATORS = np.frombuffer(b",,\n", np.uint8)
 
 
+def _fields(x: np.ndarray) -> np.ndarray:
+    """(N, _FIELD) bytes: each float of x as fmt17 writes it, padded with spaces."""
+    text = (f"%-{_FIELD}.17g" * x.size) % tuple(x.tolist())
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(x.size, _FIELD)
+
+
 def write_trace_csv(fh: IO[str], trace: EvolutionTrace) -> None:
     """Evolution trace rows `t, re_inner, im_inner` (header mandatory), each
     field as fmt17 writes it. A conserved product repeats a few values over
-    many rows, so each distinct value of a block is formatted once."""
+    many rows, so each distinct value of the trace's product is formatted
+    once; the time grid does not repeat, so it is formatted as it stands."""
     fh.write("t,re_inner,im_inner\n")
     times, z = trace.times, trace.inner_products
+    bits = np.column_stack((z.real, z.imag)).astype(np.float64, copy=False).view(np.int64)
+    # keyed on the bits: -0.0 and 0.0 are equal floats but print apart
+    keys, inverse = np.unique(bits, return_inverse=True)
+    table = _fields(keys.view(np.float64))
+    inverse = inverse.reshape(bits.shape)
     # TIME_BLOCK rows at a time bound the memory of the row buffer
     for lo in range(0, times.shape[0], TIME_BLOCK):
         part = slice(lo, lo + TIME_BLOCK)
-        cols = np.column_stack((times[part], z.real[part], z.imag[part]))
-        bits = cols.astype(np.float64, copy=False).view(np.int64)
-        # keyed on the bits: -0.0 and 0.0 are equal floats but print apart
-        keys, inverse = np.unique(bits, return_inverse=True)
-        text = (f"%-{_FIELD}.17g" * keys.size) % tuple(keys.view(np.float64).tolist())
-        table = np.frombuffer(text.encode("ascii"), np.uint8).reshape(keys.size, _FIELD)
-        rows = np.take(table, inverse.reshape(cols.shape), axis=0)
+        rows = np.empty((inverse[part].shape[0], 3, _FIELD), np.uint8)
+        rows[:, 0] = _fields(times[part])
+        np.take(table, inverse[part], axis=0, out=rows[:, 1:])
         rows[..., -1] = _SEPARATORS
         fh.write(rows.tobytes().translate(None, b" ").decode("ascii"))

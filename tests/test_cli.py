@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ptmatrix as pt
-from ptmatrix.cli import SWEEP_BLOCK, _sweep_grid, _sweep_rows, main
+from ptmatrix.cli import _sweep_grid, _sweep_rows, main, sweep_block
 from ptmatrix.serialize import (
     fmt17,
     read_json,
@@ -314,14 +314,15 @@ def _reference_sweep(make_system, values, dim):
 
 
 TWO_LEVEL_BASE = {"r": 0.3, "s": 0.6, "t": 1.0, "phi": 0.9}
-# 2 * SWEEP_BLOCK + 3 points of s on multiples of 2^-8, so the blocks split
-# twice, the last block is short, and s = -t and s = t are grid points
+# 2 * sweep_block(2) + 3 points of s on multiples of 2^-8, so the blocks
+# split twice, the last block is short, and s = -t and s = t are grid points
+S_BLOCK = sweep_block(2)
 S_STEP = 2.0 ** -8
-S_LO = 1.0 - (SWEEP_BLOCK + 1) * S_STEP
+S_LO = 1.0 - (S_BLOCK + 1) * S_STEP
 
 
 @pytest.mark.parametrize("param,lo,hi,step", [
-    ("s", S_LO, S_LO + (2 * SWEEP_BLOCK + 2) * S_STEP, S_STEP),
+    ("s", S_LO, S_LO + (2 * S_BLOCK + 2) * S_STEP, S_STEP),
     ("r", -1.0, 1.0, 0.05),
     ("t", -1.5, 1.5, 0.05),
     ("phi", 0.0, 6.3, 0.1),
@@ -344,7 +345,7 @@ def test_sweep_matches_point_by_point_reference(tmp_path, capsys, param, lo, hi,
     got = out.read_text().splitlines()
     assert got == _reference_sweep(make_system, values, 2)
     if param == "s":
-        assert len(values) == 2 * SWEEP_BLOCK + 3
+        assert len(values) == 2 * S_BLOCK + 3
         phases = {float(row.split(",")[0]): row.split(",")[5] for row in got[1:]}
         assert phases[-1.0] == phases[1.0] == "exceptional"
 
@@ -560,9 +561,9 @@ def test_block_sweep_builds_one_rotation_per_block(tmp_path, capsys, monkeypatch
     src = tmp_path / "base.json"
     write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
     monkeypatch.setattr(pt.construct, "make_rotation", counted)
-    # 2 * SWEEP_BLOCK + 3 points: three blocks
+    # 2 * sweep_block(8) + 3 points: three blocks
     argv = ["sweep", "--input", str(src), "--param", "B[0,1]", "--lo", "0",
-            "--hi", repr((2 * SWEEP_BLOCK + 2) / 1024), "--step", repr(1 / 1024),
+            "--hi", repr((2 * sweep_block(8) + 2) / 1024), "--step", repr(1 / 1024),
             "--out", str(tmp_path / "sweep.csv")]
     assert main(argv) == 0
     capsys.readouterr()

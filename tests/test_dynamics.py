@@ -261,8 +261,14 @@ def test_nonunitarity_demo_matches_step_loop(which):
     else:
         sys = unbroken_system(8, 6, 2, 1)
         h, p = sys.h, sys.p
-    res = pt.nonunitarity_demo(h, p, t_max=25.0, steps=LOOP_STEPS, seed=5)
-    _assert_matches_loop(res.trace.inner_products, _loop_nonunitarity(h, p, 25.0, LOOP_STEPS, 5))
+    for t_max in (25.0, 1e3):
+        res = pt.nonunitarity_demo(h, p, t_max=t_max, steps=LOOP_STEPS, seed=5)
+        want = _loop_nonunitarity(h, p, t_max, LOOP_STEPS, 5)
+        got = res.trace.inner_products
+        assert got.shape == want.shape
+        # as for unitarity_trace, the phase round-off grows with the horizon
+        bound = max(1e-12, 1e-14 * t_max) * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= bound
 
 
 @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf")])
@@ -280,15 +286,21 @@ def test_overflowing_samples_raise_with_first_time(rng):
     c = pt.build_c_operator(sys)
     a = random_state(rng, 4)
     data = pt.classify_phase(sys)
-    # the eigenvalues of an unbroken H are exactly real, so exp(-iwt) stays
-    # on the unit circle until w t overflows: max|w| = 1.33 here
-    trace = pt.unitarity_trace(data, sys.p, c, a, a, t_max=1e308, steps=101)
-    assert trace.max_drift <= 1e-12
-    with pytest.raises(pt.ConvergenceError, match=r"non-finite inner product at t = 1.36"):
-        pt.unitarity_trace(data, sys.p, c, a, a, t_max=1.7e308, steps=101)
-    # ASYM has eigenvalues 1 and 3: exp(-3it) overflows first at t = 6e307
-    with pytest.raises(pt.ConvergenceError, match=r"at t = 6e\+307$"):
-        pt.nonunitarity_demo(ASYM, np.eye(2), t_max=1e308, steps=51)
+    # on a grid within one block, and on one whose later blocks multiply
+    # phases that are each still finite after w t has overflowed
+    for steps, first, first_asym in [
+        (101, r"1.36", r"6e\+307"),
+        (3 * TIME_BLOCK + 1, r"1.3524739583333333e\+308", r"5.99609375e\+307"),
+    ]:
+        # the eigenvalues of an unbroken H are exactly real, so exp(-iwt) stays
+        # on the unit circle until w t overflows: max|w| = 1.33 here
+        trace = pt.unitarity_trace(data, sys.p, c, a, a, t_max=1e308, steps=steps)
+        assert trace.max_drift <= 1e-12
+        with pytest.raises(pt.ConvergenceError, match=rf"non-finite inner product at t = {first}"):
+            pt.unitarity_trace(data, sys.p, c, a, a, t_max=1.7e308, steps=steps)
+        # ASYM has eigenvalues 1 and 3: exp(-3it) overflows first at t = 6e307
+        with pytest.raises(pt.ConvergenceError, match=rf"at t = {first_asym}$"):
+            pt.nonunitarity_demo(ASYM, np.eye(2), t_max=1e308, steps=steps)
 
 
 def test_unitarity_trace_rejects_state_of_wrong_dimension(rng):
