@@ -352,11 +352,70 @@ def classify_matrix(m, p=None) -> set[MatrixClass]:
 # is fixed: A's upper triangle row-major, then B row-major, then C's upper
 # triangle, then the rotation angles. Block entries are uniform on [-1, 1],
 # angles uniform on [0, 2*pi).
+#
+# block_draws gives the block entries of many seeds as default_rng draws
+# them, without building a Generator. It relies on three streams staying as
+# they are: the SeedSequence stream (its entropy pool and the
+# generate_state(4, np.uint64) hash of that pool into PCG64's seeding words),
+# the PCG64 bit stream from those words, and Generator.uniform's map low +
+# (high - low) * ((raw >> 11) * 2^-53) of each raw 64-bit output. numpy keeps
+# seeded bit streams stable across versions but allows Generator methods to
+# change theirs (NEP 19), so
+# tests/test_construct.py::test_block_draws_match_default_rng pins all three.
+
+# SeedSequence's output hash: seeding word i of 8 uint32 words is pool[i % 4]
+# XOR _SEED_HASH[i], times _SEED_HASH[i + 1] mod 2^32, then x ^= x >> 16, with
+# _SEED_HASH[0] = 0x8B51F9DD and each next constant the last times 0x58F38DED
+_SEED_HASH = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(9)], dtype=np.uint32
+)
+
+
+@functools.cache
+def _seeding_words() -> type:
+    """A SeedSequence stand-in that hands a BitGenerator seeding words already
+    hashed from a pool. Made on first use, so that importing this module does
+    not load numpy.random."""
+
+    class SeedingWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedingWords
 
 
 def block_draw_count(m_plus: int, m_minus: int) -> int:
     """Uniform draws behind one BlockForm: A's and C's upper triangles and B."""
     return m_plus * (m_plus + 1) // 2 + m_plus * m_minus + m_minus * (m_minus + 1) // 2
+
+
+def block_draws(seeds, m_plus: int, m_minus: int) -> np.ndarray:
+    """The (N, k) block draws of N non-negative integer seeds, k =
+    block_draw_count(m_plus, m_minus): bit for bit np.stack([
+    np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds]).
+
+    Each seed keeps numpy's SeedSequence pool and PCG64 stream; only the
+    pool's hash into PCG64's seeding words and the map to [-1, 1) run once
+    for the whole block.
+    """
+    k = block_draw_count(m_plus, m_minus)
+    pools = np.array([np.random.SeedSequence(s).pool for s in seeds], dtype=np.uint32)
+    pools = pools.reshape(-1, 4)
+    x = np.concatenate((pools, pools), axis=1) ^ _SEED_HASH[:8]
+    x *= _SEED_HASH[1:]
+    x ^= x >> 16
+    # uint64 word j is 32-bit word 2j with word 2j + 1 above it, on any byte
+    # order, as generate_state(4, np.uint64) pairs them
+    x = x.astype(np.uint64)
+    words = x[:, 0::2] | x[:, 1::2] << 32
+    seeding = _seeding_words()
+    raw = np.empty((len(words), k), dtype=np.uint64)
+    for n, row in enumerate(words):
+        raw[n] = np.random.PCG64(seeding(row)).random_raw(k)
+    return -1.0 + 2.0 * ((raw >> 11) * (1.0 / 9007199254740992.0))
 
 
 def blocks_from_draws(vals, m_plus: int, m_minus: int) -> BlockForm:
@@ -380,18 +439,41 @@ def blocks_from_draws(vals, m_plus: int, m_minus: int) -> BlockForm:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _frame_gather(m_plus: int, m_minus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign), (D, D) each and read-only: block_frame's M of a row of
+    draws is sign * draws[index]. index lays out the draw positions 0..k-1
+    as blocks_from_draws lays out draws, [[A, B], [B^T, C]]; sign is -1 on
+    the (A, B) block."""
+    pos = blocks_from_draws(np.arange(block_draw_count(m_plus, m_minus)), m_plus, m_minus)
+    b = pos.b_block
+    index = np.block([[pos.a_block, b], [b.T, pos.c_block]]).astype(np.intp)
+    sign = np.ones(index.shape)
+    sign[:m_plus, m_plus:] = -1.0
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
 def block_frame(draws, m_plus: int, m_minus: int) -> np.ndarray:
     """The real matrix M = S^-1 H0 S = [[A, -B], [B^T, C]], S = diag(I, iI),
     of the blocks that blocks_from_draws(draws, m_plus, m_minus) gives, or an
-    (N, D, D) stack of them for an (N, k) stack of draws.
+    (N, D, D) stack of them for an (N, k) stack of draws, gathered in one
+    indexing pass (_frame_gather).
 
     S is unitary, so M has the eigenvalues of H0 = make_h0(blocks), and x is a
     unit eigenvector of M exactly when Sx is one of H0, with the same residual.
     """
-    blocks = blocks_from_draws(draws, m_plus, m_minus)
-    a, b, c = blocks.a_block, blocks.b_block, blocks.c_block
-    top = np.concatenate([a, -b], axis=-1)
-    return np.concatenate([top, np.concatenate([b.swapaxes(-1, -2), c], axis=-1)], axis=-2)
+    draws = np.asarray(draws, dtype=np.float64)
+    k = block_draw_count(m_plus, m_minus)
+    if draws.shape[-1:] != (k,):
+        raise ValueError(
+            f"signature {(m_plus, m_minus)} needs {k} draws per row, got shape {draws.shape}"
+        )
+    index, sign = _frame_gather(m_plus, m_minus)
+    frames = draws[..., index]
+    frames *= sign
+    return frames
 
 
 def random_blocks(rng: np.random.Generator, m_plus: int, m_minus: int) -> BlockForm:

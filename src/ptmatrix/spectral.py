@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import PT_COMMUTATION_TOL, PTSystem, block_draw_count, block_frame
+from .construct import PT_COMMUTATION_TOL, PTSystem, block_draws, block_frame
 from .linalg import (
     COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, multi_clusters, real_mask, real_matmul,
 )
@@ -326,7 +326,16 @@ def find_unbroken_seeds(
     The phase does not depend on the rotation R of H = R H0 R^T, P = R P0
     R^T, so seeds are classified on the block form alone, a block of seeds
     per stacked eigensolve: 16 seeds first, then twice as many each time up
-    to SCAN_BLOCK_MAX. Each seed's real block frame M = [[A, -B], [B^T, C]]
+    to SCAN_BLOCK_MAX. A block's draws come from construct.block_draws:
+    bit for bit what random_pt_system draws for A, B and C from
+    np.random.default_rng(seed), without building a Generator per seed. Each
+    seed keeps numpy's own SeedSequence pool and PCG64 stream; the hash of
+    the pools into PCG64's seeding words and the map of the raw outputs to
+    [-1, 1) run once for the block. The scan so relies on the SeedSequence
+    stream, the PCG64 stream and Generator.uniform's map staying as they
+    are, which tests/test_construct.py::test_block_draws_match_default_rng
+    pins.
+    Each seed's real block frame M = [[A, -B], [B^T, C]]
     (construct.block_frame) is S^H H0 S with S = diag(I, iI): the real Krein
     frame of (H0, P0), with J = diag(+1 x m_plus, -1 x m_minus), so one
     real eigensolve gives H0's eigenvalues and eigenpair residuals. The
@@ -351,7 +360,6 @@ def find_unbroken_seeds(
         raise ValueError(f"dim must be at least 1, got {dim}")
     if m_plus + m_minus != dim:
         raise ValueError(f"signature {(m_plus, m_minus)} must sum to dim {dim}")
-    k = block_draw_count(m_plus, m_minus)
     plus = np.arange(dim) < m_plus
     found: list[int] = []
     seed, end, size = start_seed, start_seed + max_trials, SCAN_BLOCK_FIRST
@@ -361,8 +369,7 @@ def find_unbroken_seeds(
                 f"no {count} unbroken systems within {max_trials} trials"
             )
         seeds = range(seed, min(seed + size, end))
-        draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
-        frames = block_frame(draws, m_plus, m_minus)
+        frames = block_frame(block_draws(seeds, m_plus, m_minus), m_plus, m_minus)
         w, x, _, scale = eig_arrays(frames, tol)
         real = real_mask(w, scale).all(axis=1)
         unbroken = _verdict(w[real], x[real], plus, scale[real])[2]

@@ -2,6 +2,8 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import ptmatrix as pt
 
@@ -33,3 +35,14 @@ def test_one_eigensolver_and_no_second_propagation_path():
                  "is_symmetric", "is_hermitian", "is_real", "is_orthogonal", "pt_commutes"):
         assert name not in pt.__all__
         assert [m.__name__ for m in (pt, *modules) if hasattr(m, name)] == []
+
+
+def test_import_does_not_load_numpy_random():
+    # construct.block_draws loads numpy.random on first use, so a sweep or an
+    # analysis that draws nothing pays neither its import time nor its memory
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, ptmatrix; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -77,7 +77,7 @@ def test_make_rotation_is_the_givens_product(case):
 
 
 def test_cached_index_tables_are_read_only():
-    for table in pt.construct._triu(4, 1):
+    for table in (*pt.construct._triu(4, 1), *pt.construct._frame_gather(3, 2)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
 
@@ -92,6 +92,9 @@ def test_block_frame_is_h0_in_the_real_frame(rng, mp, mm):
     assert m.dtype == np.float64
     np.testing.assert_array_equal(m, (s.conj() @ h0 @ s).real)
     np.testing.assert_array_equal((s.conj() @ h0 @ s).imag, 0.0)
+    np.testing.assert_array_equal(pt.construct.block_frame(draws[0], mp, mm), m[0])
+    with pytest.raises(ValueError, match="draws per row"):
+        pt.construct.block_frame(draws[:, 1:], mp, mm)
 
 
 def test_make_parity_two_dim():
@@ -170,6 +173,22 @@ def test_stacked_block_draws_match_random_blocks(mp, mm):
         assert rng.bit_generator.state == ref.bit_generator.state
     np.testing.assert_array_equal(stacked.a_block, stacked.a_block.swapaxes(-1, -2))
     np.testing.assert_array_equal(stacked.c_block, stacked.c_block.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("mp,mm", sorted({key[1:] for key in UNBROKEN_SEEDS}))
+@pytest.mark.parametrize("seeds", [
+    [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 + 5],
+    range(70_000, 70_512),
+], ids=["wide-entropy", "512-block"])
+def test_block_draws_match_default_rng(mp, mm, seeds):
+    # fails if numpy changes the SeedSequence pool or hash, the PCG64 stream
+    # or Generator.uniform's map; seeds of 2^32 and above take two words of
+    # entropy
+    k = pt.construct.block_draw_count(mp, mm)
+    want = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
+    got = pt.construct.block_draws(seeds, mp, mm)
+    assert got.shape == want.shape and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_make_h0_rejects_bad_blocks():

@@ -154,7 +154,7 @@ def no_draws(monkeypatch):
     def fail(*args):
         raise AssertionError("drew a seed")
 
-    monkeypatch.setattr(np.random, "default_rng", fail)
+    monkeypatch.setattr(pt.spectral, "block_draws", fail)
 
 
 def test_scan_rejects_negative_start_seed_before_drawing(no_draws):
@@ -193,6 +193,9 @@ def test_scan_classifies_each_block_from_its_one_eigensolve(monkeypatch):
     monkeypatch.setattr(pt.spectral, "classify_stack", fail)
     monkeypatch.setattr(pt.spectral, "classify_phase", fail)
     monkeypatch.setattr(pt.construct, "random_pt_system", fail)
+    # the block's draws come from construct.block_draws, not one Generator per seed
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    monkeypatch.setattr(np.random, "Generator", fail)
     assert not hasattr(pt.spectral, "random_pt_system")
     want = UNBROKEN_SEEDS[(5, 3, 2)]
     assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
@@ -215,14 +218,10 @@ def test_scan_classifies_each_block_from_its_one_eigensolve(monkeypatch):
     ((2, 1), [[0.0, 1.0, 0.0, 0.0, 0.0, 3.0]], [0]),
 ], ids=["exceptional-point", "real-symmetric"])
 def test_scan_verdict_on_scripted_draws(monkeypatch, signature, table, want):
-    class Draws:
-        def __init__(self, seed):
-            self.seed = seed
+    def draws(seeds, m_plus, m_minus):
+        return np.array([table[s] for s in seeds])
 
-        def uniform(self, low, high, size):
-            return np.array(table[self.seed])
-
-    monkeypatch.setattr(np.random, "default_rng", Draws)
+    monkeypatch.setattr(pt.spectral, "block_draws", draws)
     got = pt.find_unbroken_seeds(sum(signature), signature, len(want), max_trials=len(table))
     assert got == want
 

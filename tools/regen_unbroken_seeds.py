@@ -5,10 +5,13 @@ Unbroken systems can be rare (the frozen lists hold 50 unbroken seeds in
 0..357555 at D=8, signature (6,2), a rate of 1.4e-4, against 25 in 0..1009,
 2.5e-2, at D=6, signature (5,1)), so the test suite uses seed lists found
 here once instead of rejection-sampling at run time. Every frozen seed
-is re-verified by the tests; this script only does the scanning, which takes
-about 22 s wall (21.7-24.6 s on a shared 2-CPU x86-64 Linux VM with one
-OpenBLAS thread, about 16 000 seeds/s), nearly all of it the (8,6,2) scan up
-to seed 357555.
+is re-verified by the tests; this script only does the scanning, nearly all
+of it the (8,6,2) scan up to seed 357555. On a shared 2-CPU x86-64 Linux VM
+with one OpenBLAS thread, 4 alternating runs of --check took 9.2-9.8 s wall
+(38 000-41 000 seeds/s at (8,6,2)) with the block draws of
+ptmatrix.construct.block_draws, against 12.1-12.4 s (30 000-31 000 seeds/s)
+with one np.random.default_rng per seed; load on such a VM moves both by up
+to 2x.
 It prints the seeds scanned per second for each signature.
 
 Run from the repository root:  python tools/regen_unbroken_seeds.py
