@@ -24,7 +24,6 @@ from .construct import (
     BlockForm,
     _symmetric_rows,
     _triu,
-    check_pt_pairs,
     classify_matrix,
     count_parity_params,
     max_signature,
@@ -291,18 +290,14 @@ def _block_points(args, base_obj):
 
 
 def _classify_points(h: np.ndarray, p: np.ndarray, tol: float) -> PhaseStack:
-    """check_pt_pairs, then classify_stack, of a block of grid points. When
-    the block fails, its points are re-run one at a time so the error raised
-    is the first failing point's own, as a point-by-point sweep would report
-    it."""
+    """classify_stack of a block of grid points. When the block fails, its
+    points are re-run one at a time so the error raised is the first failing
+    point's own, as a point-by-point sweep would report it."""
     try:
-        check_pt_pairs(h, p)
         return classify_stack(h, p, tol)
     except _POINT_ERRORS:
         for n in range(h.shape[0]):
-            pn = p[n:n + 1] if p.ndim == 3 else p
-            check_pt_pairs(h[n:n + 1], pn)
-            classify_stack(h[n:n + 1], pn, tol)
+            classify_stack(h[n:n + 1], p[n:n + 1] if p.ndim == 3 else p, tol)
         raise
 
 

@@ -43,9 +43,7 @@ SYMMETRY_TOL             1e-12  max|H - H^T| (check_pt_pairs; the    max|H| of t
                                 (make_h0); max|H - H^T| and
                                 max|H - H^H| (classify_matrix)
 PT_COMMUTATION_TOL       1e-10  max|P conj(H) P - H|                 max|H| of the matrix
-                                (check_pt_pairs, classify_matrix);
-                                max|Im M| / D
-                                (spectral._check_real_frame)
+                                (check_pt_pairs, classify_matrix)
                                 max|Im P|, max|P - P^T| and          1 (P is orthogonal)
                                 max|P^2 - I| (validate_parity)
 EP_ISOTROPY_TOL          2e-4   |v^T v| of a unit eigenvector: the   1 (v is a unit

@@ -40,9 +40,17 @@ def matrix_to_obj(m) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """value when it is a JSON integer (a bool is not), else ValueError naming
+    the field and the value: 2.9, true and "2" are not read as 2, 1 and 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+    return int(value)
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "matrix JSON dim")
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError("malformed matrix JSON") from exc
@@ -63,28 +71,14 @@ def matrix_from_obj(obj) -> np.ndarray:
     return np.array(flat, dtype=np.complex128).reshape(dim, dim)
 
 
-def parity_spec_to_obj(spec: ParitySpec) -> dict:
-    return {
-        "signature": [int(spec.m_plus), int(spec.m_minus)],
-        "angles": [float(x) for x in spec.angles],
-    }
-
-
 def parity_spec_from_obj(obj) -> ParitySpec:
     try:
-        mp, mm = (int(x) for x in obj["signature"])
+        mp, mm = obj["signature"]
         angles = [float(x) for x in obj["angles"]]
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError("malformed parity-spec JSON") from exc
+    mp, mm = (_json_int(x, "parity-spec JSON signature entry") for x in (mp, mm))
     return ParitySpec(m_plus=mp, m_minus=mm, angles=np.array(angles))
-
-
-def block_form_to_obj(blocks: BlockForm) -> dict:
-    return {
-        "A": blocks.a_block.tolist(),
-        "B": blocks.b_block.tolist(),
-        "C": blocks.c_block.tolist(),
-    }
 
 
 def _square_block(x) -> np.ndarray:

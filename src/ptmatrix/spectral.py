@@ -12,8 +12,8 @@ that the PT operation fixes (J conj(S) = S), and v^T v = x^T J x is real; its
 sign is v's PT norm sign.
 
 Every matrix product around the frame is real. Q is real and conj(s_j) s_k
-is 1, i or -i, so M and its imaginary residue are signed entries of
-Q^T Re(h) Q and Q^T Im(h) Q; v = Q Re(Sx) + i Q Im(Sx); and h's residuals
+is 1, i or -i, so M is made of signed entries of Q^T Re(h) Q and
+Q^T Im(h) Q; v = Q Re(Sx) + i Q Im(Sx); and h's residuals
 come from Re(h) and Im(h) times the real and imaginary parts of v
 (linalg.real_matmul, which gives a @ Re x and a @ Im x from one real
 product).
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import PT_COMMUTATION_TOL, PTSystem, block_draws, block_frame
+from .construct import PTSystem, block_draws, block_frame, check_pt_pairs
 from .linalg import (
     COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, multi_clusters, real_mask, real_matmul,
 )
@@ -129,7 +129,9 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     spectrum, an eigenvalue cluster has no basis of eigenvectors. Broken:
     otherwise, when an eigenvalue is not real (linalg.real_mask). Unbroken:
     all other systems; their eigenvectors are PT-fixed. tol bounds the
-    relative backward error of the eigenpairs; see classify_stack.
+    relative backward error of the eigenpairs; see classify_stack, whose
+    ValueError (construct.check_pt_pairs, for a pair that is not
+    PT-symmetric) and ConvergenceError this raises.
     """
     return classify_stack(sys.h[None], sys.p[None], tol).row(0)
 
@@ -149,10 +151,11 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     equal ||h v - w v||_2 and ||h||_F up to round-off, as QS is unitary, so
     h -> kh and h -> h + rI keep every verdict.
 
-    The pairs are taken as given (see construct.check_pt_pairs). A failure in
-    any row raises for the whole stack: ValueError for a non-finite entry,
-    ConvergenceError for a residual of M above tol * ||M||_F, and ValueError
-    for a row whose M is not real (_check_real_frame).
+    A failure in any row raises for the whole stack: ValueError, from
+    construct.check_pt_pairs, for a pair that pt_system_from_matrices would
+    reject (a non-finite entry, an H that is not symmetric, a P that is not a
+    real symmetric involution, or an H that does not commute with the PT
+    operation), and ConvergenceError for a residual of M above tol * ||M||_F.
     """
     hs = np.asarray(h, dtype=np.complex128)
     ps = np.asarray(p, dtype=np.complex128)
@@ -161,12 +164,10 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
             "expected an (N, D, D) stack with D >= 1 and a (D, D) parity or a stack of "
             f"the same shape, got {hs.shape} and {ps.shape}"
         )
-    if not np.isfinite(hs).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    check_pt_pairs(hs, ps)
     hr, hi = np.ascontiguousarray(hs.real), np.ascontiguousarray(hs.imag)
-    m, residue, q, plus = _krein_frame(hr, hi, ps)
+    m, q, plus = _krein_frame(hr, hi, ps)
     w, x, _, scale = eig_arrays(m, tol)
-    _check_real_frame(residue, hr, hi, scale)
     real, broken, unbroken, fixed, norms = _verdict(w, x, plus, scale)
     n, d = w.shape
     # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
@@ -241,15 +242,18 @@ def _verdict(w: np.ndarray, x: np.ndarray, plus: np.ndarray,
 
 
 def _krein_frame(hr: np.ndarray, hi: np.ndarray,
-                 p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(M, Im M, Q, plus) of an (N, D, D) stack h = hr + i hi and one (D, D)
+                 p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Q, plus) of an (N, D, D) stack h = hr + i hi and one (D, D)
     parity p or a stack of them: P = Q J Q^T from eigh, plus marks J's +1
-    entries, and M = (QS)^H h (QS) with S = 1 on them and i elsewhere.
+    entries, and M = Re (QS)^H h (QS) with S = 1 on them and i elsewhere.
 
     Q is real, so Q^T h Q = G is Q^T hr Q + i Q^T hi Q, and M_jk =
     conj(s_j) s_k G_jk with conj(s_j) s_k = 1 on J's diagonal blocks, i on
-    its (+, -) block and -i on its (-, +) block: Re M and Im M are entries of
-    the two real products, exactly, with a sign.
+    its (+, -) block and -i on its (-, +) block: Re M is made of entries of
+    the two real products, exactly, with a sign. Im M is half an entry of
+    Q^T (P conj(h) P - h) Q, so it vanishes, up to the bound of
+    construct.check_pt_pairs, for the pairs classify_stack admits; it is not
+    formed.
     """
     lam, q = np.linalg.eigh(p.real)
     plus = lam > 0.0
@@ -257,35 +261,7 @@ def _krein_frame(hr: np.ndarray, hi: np.ndarray,
     gr, gi = qt @ hr @ q, qt @ hi @ q
     # Im(conj(s_j) s_k): 0 on J's diagonal blocks, +1 on (+, -), -1 on (-, +)
     turn = plus[..., :, None] * 1.0 - plus[..., None, :]
-    same = turn == 0.0
-    return np.where(same, gr, -turn * gi), np.where(same, gi, turn * gr), q, plus
-
-
-def _check_real_frame(residue: np.ndarray, hr: np.ndarray, hi: np.ndarray,
-                      scale: np.ndarray) -> None:
-    """Raise ValueError when some row's max|Im M| (residue, of _krein_frame)
-    is above D * PT_COMMUTATION_TOL * max|h|, naming the worst row's; scale
-    (N,) holds each ||M||_F.
-
-    max|Im M| is half the largest entry of Q^T (P conj(h) P - h) Q, so it is
-    at most D/2 times the residual that check_pt_pairs bounds by
-    PT_COMMUTATION_TOL * max|h|; forming M adds a round-off of about eps *
-    max|h|. ||M||_F <= ||h||_F <= D max|h|, so a stack whose residue is at
-    most PT_COMMUTATION_TOL * min ||M||_F passes every row.
-    """
-    if np.abs(residue).max() <= PT_COMMUTATION_TOL * scale.min():
-        return
-    peak = np.abs(residue).max(axis=(1, 2))
-    bound = hr.shape[-1] * PT_COMMUTATION_TOL * np.hypot(hr, hi).max(axis=(1, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = np.where(peak > bound, peak / bound, 0.0)
-    worst = int(excess.argmax())
-    if excess[worst] > 0.0:
-        raise ValueError(
-            "H is not PT-symmetric for this P: its real Krein frame has an imaginary "
-            f"residue {peak[worst]:.3e} > {bound[worst]:.3e} "
-            "(D * PT_COMMUTATION_TOL * max|H|)"
-        )
+    return np.where(turn == 0.0, gr, -turn * gi), q, plus
 
 
 def _krein_basis(xc: np.ndarray, sign: np.ndarray, norms: np.ndarray) -> bool:

@@ -720,6 +720,22 @@ def test_analyze_zero_dim_system_is_input_error(tmp_path, capsys):
     assert "dim must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_json_integers_must_be_integers(tmp_path, capsys):
+    # a float, bool or string dim or signature entry is not rounded to an int
+    obj = system_to_obj(unbroken_system(2, 1, 1, 0))
+    src = tmp_path / "sys.json"
+    src.write_text(json.dumps({**obj, "h": {**obj["h"], "dim": 2.9}}))
+    assert main(["analyze", "--input", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        "input error: system JSON h: matrix JSON dim must be an integer, got 2.9\n")
+    src.write_text(json.dumps({**obj, "provenance": {**obj["provenance"], "signature": [1.7, 1]}}))
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "0", "--hi", "1",
+            "--step", "0.5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "input error: parity-spec JSON signature entry must be an integer, got 1.7\n")
+
+
 def test_evolve_broken_system_fails(tmp_path, capsys):
     src = tmp_path / "sys.json"
     sys_ = pt.pt_system_from_matrices(

@@ -425,6 +425,9 @@ def test_check_pt_pairs_checks_every_row(row, breakage, message):
         pt.check_pt_pairs(h, p)
     with pytest.raises(ValueError, match=message):
         pt.pt_system_from_matrices(h[row], p[row])
+    # classify_stack admits its input by the same check, with the same message
+    with pytest.raises(ValueError, match=message):
+        pt.classify_stack(h, p)
 
 
 def test_check_pt_pairs_one_parity_for_a_stack():
@@ -436,6 +439,23 @@ def test_check_pt_pairs_one_parity_for_a_stack():
         pt.check_pt_pairs(h, one)
     with pytest.raises(ValueError, match="parity must square to the identity"):
         pt.check_pt_pairs(h, 2.0 * one)
+
+
+def test_classify_stack_rejects_what_check_pt_pairs_rejects():
+    # an unbroken frozen system; 2P is no parity, and H + K commutes with the
+    # PT operation (PKP = K, K real) but is not symmetric
+    assert 427 in UNBROKEN_SEEDS[(4, 2, 2)]
+    sys = pt.random_pt_system(4, (2, 2), 427)
+    with pytest.raises(ValueError, match="parity must square to the identity"):
+        pt.classify_stack(sys.h[None], 2.0 * sys.p)
+    k0 = np.zeros((4, 4))
+    k0[0, 1], k0[1, 0] = 1.0, -1.0
+    k = (k0 + sys.p.real @ k0 @ sys.p.real) / 2.0
+    assert np.abs(k).max() > 0.1
+    np.testing.assert_allclose(sys.p.real @ k @ sys.p.real, k, atol=1e-15)
+    for check in (pt.check_pt_pairs, pt.classify_stack):
+        with pytest.raises(ValueError, match="H must be symmetric"):
+            check((sys.h + k)[None], sys.p)
 
 
 def _modulus_pairs():

@@ -36,9 +36,30 @@ def test_matrix_from_obj_rejects_zero_dimension():
         ser.matrix_from_obj({"dim": 0, "entries": []})
 
 
-def test_parity_spec_round_trip():
+@pytest.mark.parametrize("dim,shown", [(2.9, "2.9"), (True, "true"), ("2", '"2"')])
+def test_matrix_from_obj_reads_only_an_integer_dim(dim, shown):
+    obj = json.loads(json.dumps({"dim": dim, "entries": [[1.0, 0.0]] * 4}))
+    with pytest.raises(ValueError, match=f"matrix JSON dim must be an integer, got {shown}$"):
+        ser.matrix_from_obj(obj)
+
+
+@pytest.mark.parametrize("signature,shown", [([1.7, 1], "1.7"), ([1, True], "true"),
+                                             (["2", 1], '"2"')])
+def test_parity_spec_from_obj_reads_only_integer_signatures(signature, shown):
+    obj = json.loads(json.dumps({"signature": signature, "angles": [0.0]}))
+    with pytest.raises(ValueError, match=f"signature entry must be an integer, got {shown}$"):
+        ser.parity_spec_from_obj(obj)
+
+
+def _written_provenance(blocks, spec):
+    """The provenance make_pt_system writes, as JSON text gives it back."""
+    return json.loads(ser.dumps(ser.system_to_obj(pt.make_pt_system(blocks, spec))))["provenance"]
+
+
+def test_parity_spec_round_trip(rng):
     spec = pt.ParitySpec(2, 1, [0.1, 0.2, 0.3])
-    back = ser.parity_spec_from_obj(ser.parity_spec_to_obj(spec))
+    blocks = pt.construct.random_blocks(rng, 2, 1)
+    back = ser.parity_spec_from_obj(_written_provenance(blocks, spec))
     assert (back.m_plus, back.m_minus) == (2, 1)
     np.testing.assert_array_equal(back.angles, spec.angles)
 
@@ -46,7 +67,8 @@ def test_parity_spec_round_trip():
 @pytest.mark.parametrize("mp,mm", [(2, 1), (3, 0), (0, 2)])
 def test_block_form_round_trip(mp, mm, rng):
     blocks = pt.construct.random_blocks(rng, mp, mm)
-    back = ser.block_form_from_obj(ser.block_form_to_obj(blocks))
+    spec = pt.ParitySpec(mp, mm, pt.construct.random_angles(rng, mp + mm))
+    back = ser.block_form_from_obj(_written_provenance(blocks, spec)["blocks"])
     np.testing.assert_array_equal(back.a_block, blocks.a_block)
     np.testing.assert_array_equal(back.b_block, blocks.b_block)
     np.testing.assert_array_equal(back.c_block, blocks.c_block)
