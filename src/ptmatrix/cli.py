@@ -29,12 +29,14 @@ from .construct import (
     max_signature,
     parameter_table,
     pt_matrices,
+    pt_system_from_matrices,
     random_pt_system,
 )
 from .dynamics import nonunitarity_demo, unitarity_trace
 from .errors import BrokenPhaseError, ConvergenceError, ExceptionalPointError
 from .linalg import DEFAULT_TOL, max_abs
 from .serialize import (
+    _json_int,
     block_form_from_obj,
     dumps,
     fmt17,
@@ -262,11 +264,13 @@ def _block_points(args, base_obj):
     if not isinstance(prov, dict) or not {"blocks", "signature", "angles"} <= prov.keys():
         raise UsageError("base system JSON lacks construction provenance for sweeping")
     spec = parity_spec_from_obj(prov)
-    if base_obj.get("dim") != spec.dim:
+    dim = base_obj.get("dim")
+    if dim != spec.dim:
         raise ValueError(
-            f"base system dim {base_obj.get('dim')!r} does not match its provenance "
+            f"base system dim {dim!r} does not match its provenance "
             f"signature {spec.m_plus},{spec.m_minus}"
         )
+    _json_int(dim, "base system dim")  # 2.0 and true compare equal to 2 and 1
     m = re.fullmatch(r"([ABC])\[(\d+),(\d+)\]", args.param)
     if not m:
         raise UsageError(f"unknown sweep parameter {args.param!r}")
@@ -303,13 +307,15 @@ def _classify_points(h: np.ndarray, p: np.ndarray, tol: float) -> PhaseStack:
 
 def _min_gaps(w: np.ndarray) -> np.ndarray:
     """Smallest |w_i - w_j| over the pairs of each row of an (N, D) stack, 0
-    when D = 1. np.hypot on the parts equals Python's abs of a complex bit for
-    bit; numpy's complex abs can differ from both by an ulp."""
+    when D = 1; a gap past the float range reads inf. np.hypot on the parts
+    equals Python's abs of a complex bit for bit; numpy's complex abs can
+    differ from both by an ulp."""
     i, j = _triu(w.shape[1], 1)
     if not i.size:
         return np.zeros(w.shape[0])
-    diff = w[:, i] - w[:, j]
-    return np.hypot(diff.real, diff.imag).min(axis=1)
+    with np.errstate(over="ignore"):
+        diff = w[:, i] - w[:, j]
+        return np.hypot(diff.real, diff.imag).min(axis=1)
 
 
 def _sweep_rows(values: list[float], w: np.ndarray, codes: np.ndarray,
@@ -372,8 +378,7 @@ def _pick_state(spec: str, data, dim: int) -> np.ndarray:
 
 
 def cmd_evolve(args) -> int:
-    obj = read_json(args.input)
-    h, p, _ = system_matrices_from_obj(obj)
+    h, p, provenance = system_matrices_from_obj(read_json(args.input))
     if not _symmetric_rows(h):
         # asymmetric Hamiltonian: weight-matrix inner product, expected drift;
         # both states are drawn from the one seed of --state
@@ -395,7 +400,7 @@ def cmd_evolve(args) -> int:
             return EXIT_UNITARITY
         return EXIT_OK
 
-    sys_ = system_from_obj(obj)
+    sys_ = pt_system_from_matrices(h, p, provenance)
     data = classify_phase(sys_, args.tol)
     c = c_operator(data, sys_.p)  # raises unless data is unbroken
     a = _pick_state(args.state, data, sys_.dim)

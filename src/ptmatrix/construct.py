@@ -61,11 +61,32 @@ class BlockForm:
 
 @dataclass(frozen=True)
 class PTSystem:
-    """A Hamiltonian bound to its parity operator, with construction record."""
+    """An admitted pair: a Hamiltonian h bound to its parity operator p, with
+    construction record.
+
+    Constructing one, directly or by dataclasses.replace, is the one place a
+    pair is checked: h and p must be square matrices of one dimension D >= 1
+    that pass check_pt_pairs, or ValueError. The pair keeps read-only
+    complex128 copies, so no caller can edit it after the check, and nothing
+    downstream (spectral.classify_phase) checks it again.
+    """
 
     h: np.ndarray
     p: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        h, p = as_matrix(self.h), as_matrix(self.p)
+        if h.shape != p.shape:
+            raise ValueError("H and P must share a dimension")
+        if h.shape[0] < 1:
+            raise ValueError("dimension must be at least 1")
+        check_pt_pairs(h, p)
+        # copies: as_matrix returns a caller's complex128 array itself
+        for name, m in (("h", h), ("p", p)):
+            m = np.array(m)
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -187,25 +208,18 @@ def make_pt_system(blocks: BlockForm, spec: ParitySpec, seed=None) -> PTSystem:
         },
         "seed": seed,
     }
-    check_pt_pairs(h, p)
     return PTSystem(h=h, p=p, provenance=provenance)
 
 
 def pt_system_from_matrices(h, p, provenance=None) -> PTSystem:
-    """Bind an existing (H, P) pair, validating all structural invariants."""
-    hm = as_matrix(h)
-    pm = as_matrix(p)
-    if hm.shape != pm.shape:
-        raise ValueError("H and P must share a dimension")
-    if hm.shape[0] < 1:
-        raise ValueError("dimension must be at least 1")
-    check_pt_pairs(hm, pm)
-    return PTSystem(h=hm, p=pm, provenance=provenance or {})
+    """Bind an existing (H, P) pair: PTSystem(h, p, provenance), so the pair
+    is checked as PTSystem documents, and None stands for no provenance."""
+    return PTSystem(h=h, p=p, provenance=provenance or {})
 
 
 def check_pt_pairs(h: np.ndarray, p: np.ndarray) -> None:
     """Validate (h, p), or every (h[n], p[n]) of two (N, D, D) complex stacks, as
-    pt_system_from_matrices does: finite entries, H symmetric within
+    PTSystem does: finite entries, H symmetric within
     SYMMETRY_TOL * max|H|, P a real symmetric involution (validate_parity),
     and P conj(H) P = H within PT_COMMUTATION_TOL * max|H|, each bound taken
     with the row's own max|H|, so H -> kH and H -> H + rI keep the outcome.
@@ -321,8 +335,8 @@ def classify_matrix(m, p=None) -> set[MatrixClass]:
     every flag: SYMMETRIC within SYMMETRY_TOL of max|m - m^T|, HERMITIAN
     within SYMMETRY_TOL of max|m - m^H|, REAL_SYMMETRIC both (together they
     bound max|Im m| by the same), and PT_SYMMETRIC within PT_COMMUTATION_TOL
-    of max|P conj(m) P - m|: the bounds check_pt_pairs enforces, so every
-    pair that pt_system_from_matrices accepts is SYMMETRIC and PT_SYMMETRIC.
+    of max|P conj(m) P - m|: the bounds check_pt_pairs enforces, so the h
+    of every PTSystem is SYMMETRIC and PT_SYMMETRIC under its p.
 
     PT_SYMMETRIC is only decidable when a parity is supplied; an invalid
     parity (not a real symmetric involution) raises, and so does a

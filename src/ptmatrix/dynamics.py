@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_weight_matrix
 from .construct import validate_parity
 from .errors import ConvergenceError
 from .linalg import DEFAULT_TOL, as_matrix, eig_arrays, eigvec_inverse, max_abs
@@ -187,17 +186,23 @@ def nonunitarity_demo(
     (e.g. the symmetric control case) the result is flagged inconclusive and
     the drift stays at round-off level.
 
-    W = V B^-1 V^-1 with B the PT Gram matrix of zgeev's eigenvectors, so
-    [W, H] = V [B^-1, diag(w)] V^-1 is 0 for a B block-diagonal over
-    eigenvalue clusters (the symmetric control case) whatever basis a
-    degenerate cluster has; W is C there only with no degenerate eigenvalue.
-    tol bounds the relative backward error of zgeev's eigenpairs (eig_arrays).
+    W = V B^-1 V^-1 with B = V^H P V the PT Gram matrix of zgeev's
+    eigenvectors, so [W, H] = V [B^-1, diag(w)] V^-1 is 0 for a B
+    block-diagonal over eigenvalue clusters (the symmetric control case)
+    whatever basis a degenerate cluster has; W is C there only with no
+    degenerate eigenvalue. With P = P^-1, W = P (V^-1)^H V^-1, and the
+    sample's Gram matrix V^-1 W V is V^-1 P (V^-1)^H, so V is inverted once
+    (eigvec_inverse): the same result as algebra.build_weight_matrix, whose
+    basis P conj(V) has cond(V). tol bounds the relative backward error of
+    zgeev's eigenpairs (eig_arrays); a defective H, cond(V) above COND_CAP,
+    raises ExceptionalPointError.
     """
     h = as_matrix(h_asym)
     pm = validate_parity(p)
     w, v, _, _ = eig_arrays(h, tol)
-    weight = build_weight_matrix([v[:, k] for k in range(h.shape[0])], pm)
     vinv = eigvec_inverse(v)
+    inv_rows = pm @ vinv.conj().T  # the inverse of the PT-conjugate rows (P conj V)^T
+    weight = inv_rows @ vinv
     comm = max_abs(weight @ h - h @ weight)
     scale = max_abs(h)
     conclusive = comm > COMMUTATOR_REL_THRESHOLD * max(scale, 1e-300)
@@ -211,7 +216,7 @@ def nonunitarity_demo(
     times = _grid(t_max, steps)
     # the bra row evolves as (a,t| = (a,0| V diag(exp(iwt)) V^-1; for symmetric
     # H this is PT-conjugating the evolved ket, for asymmetric H it is not
-    gram, left, right = vinv @ weight @ v, pt_apply(a, pm) @ v, vinv @ b
+    gram, left, right = vinv @ inv_rows, pt_apply(a, pm) @ v, vinv @ b
     vals = _sample(times, -1j * w, left, gram, right, bra_rate=1j * w)
     drift = float(np.max(np.abs(vals - vals[0])))
     trace = EvolutionTrace(times=times, inner_products=vals, max_drift=drift)

@@ -153,8 +153,10 @@ def real_mask(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     dgeev returns a real eigenvalue with an imaginary part of exactly 0, so
     the test is structural; the gap admits only a (near-)degenerate real
     eigenvalue that round-off split into a 2x2 Schur block of a tiny pair.
+    |Im w| is compared with half the gap, which is exact, so no |Im w| near
+    the float limit overflows.
     """
-    return 2.0 * np.abs(w.imag) <= CLUSTER_REL_GAP * norms[:, None]
+    return np.abs(w.imag) <= 0.5 * CLUSTER_REL_GAP * norms[:, None]
 
 
 def _check_residuals(res: np.ndarray, norms: np.ndarray, tol: float) -> None:
@@ -242,10 +244,12 @@ def multi_clusters(w: np.ndarray, norms: np.ndarray) -> dict[int, list[range]]:
 
     A vectorized screen, loose by a relative 1e-9 to cover the round-off of
     numpy's complex abs, picks the candidate rows; the exact walk of
-    clusters decides each of them.
+    clusters decides each of them. A gap past the float range reads inf and
+    leaves its neighbours apart.
     """
     gap = CLUSTER_REL_GAP * norms
-    near = (np.abs(w[:, 1:] - w[:, :-1]) <= gap[:, None] * (1.0 + 1e-9)).any(axis=1)
+    with np.errstate(over="ignore"):
+        near = (np.abs(w[:, 1:] - w[:, :-1]) <= gap[:, None] * (1.0 + 1e-9)).any(axis=1)
     found = {}
     for row in near.nonzero()[0].tolist():
         runs = clusters(w[row], norms[row])

@@ -112,7 +112,8 @@ def system_to_obj(sys: PTSystem) -> dict:
 
 
 def system_matrices_from_obj(obj) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Raw (h, p, provenance) without structural validation.
+    """Raw (h, p, provenance) of a system JSON whose top-level dim, a JSON
+    integer, equals the size of h and of p; the pair itself is not checked.
 
     Used by consumers that must accept deliberately invalid systems, e.g. the
     asymmetric-Hamiltonian unitarity counterexample.
@@ -125,6 +126,10 @@ def system_matrices_from_obj(obj) -> tuple[np.ndarray, np.ndarray, dict]:
             raise ValueError("malformed system JSON") from exc
         except ValueError as exc:
             raise ValueError(f"system JSON {name}: {exc}") from exc
+    dim = _json_int(obj.get("dim"), "system JSON dim")
+    sizes = tuple(m.shape[0] for m in mats)
+    if sizes != (dim, dim):
+        raise ValueError(f"system JSON dim {dim} does not match the sizes {sizes} of h and p")
     return mats[0], mats[1], obj.get("provenance") or {}
 
 

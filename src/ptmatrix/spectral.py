@@ -130,10 +130,10 @@ def classify_phase(sys: PTSystem, tol: float = DEFAULT_TOL) -> SpectralData:
     otherwise, when an eigenvalue is not real (linalg.real_mask). Unbroken:
     all other systems; their eigenvectors are PT-fixed. tol bounds the
     relative backward error of the eigenpairs; see classify_stack, whose
-    ValueError (construct.check_pt_pairs, for a pair that is not
-    PT-symmetric) and ConvergenceError this raises.
+    ConvergenceError this raises. A PTSystem is a checked pair, so sys is
+    not checked again.
     """
-    return classify_stack(sys.h[None], sys.p[None], tol).row(0)
+    return _classify(sys.h[None], sys.p[None], tol).row(0)
 
 
 def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
@@ -152,7 +152,7 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     h -> kh and h -> h + rI keep every verdict.
 
     A failure in any row raises for the whole stack: ValueError, from
-    construct.check_pt_pairs, for a pair that pt_system_from_matrices would
+    construct.check_pt_pairs, for a pair that PTSystem would
     reject (a non-finite entry, an H that is not symmetric, a P that is not a
     real symmetric involution, or an H that does not commute with the PT
     operation), and ConvergenceError for a residual of M above tol * ||M||_F.
@@ -165,6 +165,11 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
             f"the same shape, got {hs.shape} and {ps.shape}"
         )
     check_pt_pairs(hs, ps)
+    return _classify(hs, ps, tol)
+
+
+def _classify(hs: np.ndarray, ps: np.ndarray, tol: float) -> PhaseStack:
+    """classify_stack of complex stacks that have passed check_pt_pairs."""
     hr, hi = np.ascontiguousarray(hs.real), np.ascontiguousarray(hs.imag)
     m, q, plus = _krein_frame(hr, hi, ps)
     w, x, _, scale = eig_arrays(m, tol)
@@ -252,7 +257,7 @@ def _krein_frame(hr: np.ndarray, hi: np.ndarray,
     its (+, -) block and -i on its (-, +) block: Re M is made of entries of
     the two real products, exactly, with a sign. Im M is half an entry of
     Q^T (P conj(h) P - h) Q, so it vanishes, up to the bound of
-    construct.check_pt_pairs, for the pairs classify_stack admits; it is not
+    construct.check_pt_pairs, for every pair that check admits; it is not
     formed.
     """
     lam, q = np.linalg.eigh(p.real)

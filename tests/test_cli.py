@@ -868,3 +868,93 @@ def test_parser_is_built_once_and_reused_safely(tmp_path, capsys, monkeypatch):
         fresh.append(outputs(res.returncode, res.stdout, res.stderr))
     assert in_process == fresh
     assert [x[0] for x in fresh] == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_cli_admits_the_pair_once(tmp_path, capsys, monkeypatch, command):
+    # the system JSON is parsed once and its pair checked once: PTSystem
+    # checks it, and classify_phase does not check it again
+    src = tmp_path / "sys.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    checks, parsed = [], []
+    check, parse = pt.construct.check_pt_pairs, pt.serialize.matrix_from_obj
+
+    def counted_check(h, p):
+        checks.append(h.shape)
+        return check(h, p)
+
+    def counted_parse(obj):
+        parsed.append(obj["dim"])
+        return parse(obj)
+
+    monkeypatch.setattr(pt.construct, "check_pt_pairs", counted_check)
+    monkeypatch.setattr(pt.spectral, "check_pt_pairs", counted_check)
+    monkeypatch.setattr(pt.serialize, "matrix_from_obj", counted_parse)
+    assert main([command, "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert checks == [(8, 8)]
+    assert parsed == [8, 8]
+
+
+def _asymmetric_obj():
+    return json.loads((FIXTURES / "asym2x2.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+@pytest.mark.parametrize("system", ["frozen_211", "asymmetric"])
+def test_system_dim_must_match_its_matrices(tmp_path, capsys, command, system):
+    # a top-level dim that is not the matrices' size is an input error for
+    # every command that reads a system, and no report or trace is written
+    obj = _asymmetric_obj() if system == "asymmetric" else system_to_obj(unbroken_system(2, 1, 1, 0))
+    src, out = tmp_path / "sys.json", tmp_path / "out"
+    for dim, message in [
+        (5, "input error: system JSON dim 5 does not match the sizes (2, 2) of h and p\n"),
+        (2.0, "input error: system JSON dim must be an integer, got 2.0\n"),
+        (None, "input error: system JSON dim must be an integer, got null\n"),
+    ]:
+        src.write_text(json.dumps({**obj, "dim": dim}))
+        assert main([command, "--input", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def test_sweep_base_system_dim_must_be_a_json_integer(tmp_path, capsys):
+    obj = system_to_obj(unbroken_system(2, 1, 1, 0))
+    src, out = tmp_path / "base.json", tmp_path / "sweep.csv"
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "0", "--hi", "1",
+            "--step", "0.5", "--out", str(out)]
+    src.write_text(json.dumps({**obj, "dim": 2.0}))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "input error: base system dim must be an integer, got 2.0\n"
+    assert not out.exists()
+    src.write_text(json.dumps(obj))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.exists()
+
+
+def test_sweep_to_the_float_limit_gives_no_warning(tmp_path, capsys):
+    # pyproject.toml turns every numpy warning into an error; gaps past the
+    # float range read inf
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--param", "s", "--lo", "0", "--hi", "1e308", "--step", "1e306",
+            "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 101
+    assert rows[1].split(",")[-2] == "unbroken"
+    assert rows[-1] == "1e+308,0,-1e+308,0,1e+308,broken,inf"
+
+
+def test_evolve_defective_asymmetric_h_is_numerical_failure(tmp_path, capsys):
+    # [[1, 1], [0, 1]] has one eigenvector: like an exceptional point of a
+    # symmetric H, its eigenbasis cannot be inverted
+    obj = _asymmetric_obj()
+    obj["h"]["entries"] = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    src, out = tmp_path / "sys.json", tmp_path / "trace.csv"
+    src.write_text(json.dumps(obj))
+    assert main(["evolve", "--input", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigenvector matrix is numerically singular")
+    assert not out.exists()

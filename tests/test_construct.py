@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -486,3 +488,61 @@ def test_classify_matrix_pt_flag_is_the_admission_check():
     h, ok, p = _modulus_pairs()
     assert pt.classify_matrix(h, p) == {pt.MatrixClass.SYMMETRIC}
     assert pt.classify_matrix(ok, p) == {pt.MatrixClass.SYMMETRIC, pt.MatrixClass.PT_SYMMETRIC}
+
+
+def _bad_pairs():
+    """(h, p) pairs that no PTSystem admits, by the check each fails."""
+    h, p = _two_level_stack(1)
+    h, p = h[0], p[0]
+    asym = h.copy()
+    asym[0, 1] += 1e-6
+    nan = h.copy()
+    nan[0, 0] = np.nan
+    return {
+        "asymmetric": (asym, p),
+        "nan": (nan, p),
+        "non_involution": (h, 2.0 * p),
+        "no_commutation": (np.diag([1j, 2.0]), np.eye(2)),
+        "shape_mismatch": (h, np.eye(3)),
+        "zero_dim": (np.zeros((0, 0)), np.zeros((0, 0))),
+        "not_square": (np.zeros((2, 3)), np.eye(2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_pairs()))
+def test_pt_system_admits_a_pair_once_whatever_builds_it(case):
+    # the constructor, the binding helper and dataclasses.replace all run the
+    # one check in PTSystem, with the same message
+    h, p = _bad_pairs()[case]
+    good = pt.random_pt_system(2, (1, 1), 0)
+    with pytest.raises(ValueError) as want:
+        pt.pt_system_from_matrices(h, p)
+    for build in (lambda: pt.PTSystem(h=h, p=p),
+                  lambda: pt.PTSystem(h, p, {"note": "kept"}),
+                  lambda: dataclasses.replace(good, h=h, p=p)):
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    if case in ("asymmetric", "nan", "not_square"):  # checks that do not read p
+        with pytest.raises(ValueError) as got:
+            dataclasses.replace(good, h=h)
+        assert str(got.value) == str(want.value)
+
+
+def test_pt_system_arrays_are_read_only_copies():
+    h, p = _two_level_stack(1)
+    h, p = h[0].copy(), p[0].copy()
+    assert h.dtype == p.dtype == np.complex128  # as_matrix would alias them
+    sys = pt.pt_system_from_matrices(h, p)
+    for made in (sys, pt.random_pt_system(3, (2, 1), 5), pt.PTSystem(h=h, p=p)):
+        for m in (made.h, made.p):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+    kept_h, kept_p = sys.h.copy(), sys.p.copy()
+    h[0, 1] += 1.0  # no longer symmetric: the admitted pair must not see it
+    p[:] = 2.0
+    np.testing.assert_array_equal(sys.h, kept_h)
+    np.testing.assert_array_equal(sys.p, kept_p)
+    # a real input is stored as complex128, as before
+    real = pt.pt_system_from_matrices(np.eye(2), np.eye(2))
+    assert real.h.dtype == real.p.dtype == np.complex128

@@ -661,3 +661,31 @@ def test_real_products_match_the_complex_formulas(name):
     assert np.abs(spectral._frame_vectors(q, plus, x) - qs @ x).max() <= 1e-14
     got = pt.classify_stack(h, p)
     assert np.abs(got.residuals - _complex_residuals(h, got.v, got.w)).max() <= 1e-13 * scale
+
+
+def _count_pair_checks(monkeypatch) -> list:
+    """Count every call of construct.check_pt_pairs, wherever it is bound."""
+    calls = []
+    original = pt.construct.check_pt_pairs
+
+    def counted(h, p):
+        calls.append(h.shape)
+        return original(h, p)
+
+    monkeypatch.setattr(pt.construct, "check_pt_pairs", counted)
+    monkeypatch.setattr(pt.spectral, "check_pt_pairs", counted)
+    return calls
+
+
+def test_classify_phase_does_not_check_an_admitted_pair_again(monkeypatch):
+    sys = unbroken_system(4, 2, 2, 0)
+    want = pt.classify_phase(sys)
+    calls = _count_pair_checks(monkeypatch)
+    got = pt.classify_phase(sys)
+    assert calls == []
+    np.testing.assert_array_equal(got.w, want.w)
+    np.testing.assert_array_equal(got.v, want.v)
+    pt.classify_stack(sys.h[None], sys.p)  # raw arrays: checked once
+    assert calls == [(1, 4, 4)]
+    pt.pt_system_from_matrices(sys.h, sys.p)  # admission: checked once
+    assert calls == [(1, 4, 4), (4, 4)]
