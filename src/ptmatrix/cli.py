@@ -21,11 +21,13 @@ from . import __version__
 from .algebra import c_operator
 from .closedform import TwoByTwoParams, h2, p2
 from .construct import (
+    SYMMETRY_TOL,
     BlockForm,
     _symmetric_rows,
     _triu,
     classify_matrix,
     count_parity_params,
+    make_pt_system,
     max_signature,
     parameter_table,
     pt_matrices,
@@ -40,7 +42,7 @@ from .serialize import (
     block_form_from_obj,
     dumps,
     fmt17,
-    format_rows,
+    labeled_csv_rows,
     matrix_to_obj,
     parity_spec_from_obj,
     read_json,
@@ -66,7 +68,7 @@ SWEEP_ENTRIES = 2**15
 # what a grid point can raise; main maps each to its exit code
 _POINT_ERRORS = (ValueError, ConvergenceError, ExceptionalPointError, BrokenPhaseError)
 # the sweep's phase column of each PhaseStack code
-_PHASE_NAMES = np.array([phase.value for phase in PHASE_OF_CODE], dtype=object)
+_PHASE_NAMES = tuple(phase.value for phase in PHASE_OF_CODE)
 
 
 class UsageError(Exception):
@@ -290,6 +292,15 @@ def _block_points(args, base_obj):
         with np.errstate(over="ignore", invalid="ignore"):
             return pt_matrices(blocks, spec)
 
+    # every point is rebuilt from the provenance, so the stored pair, admitted
+    # as analyze admits it, must be the pair the provenance builds
+    stored, built = system_from_obj(base_obj), make_pt_system(blocks, spec)
+    for key in "hp":
+        diff = max_abs(getattr(stored, key) - getattr(built, key))
+        if not diff <= SYMMETRY_TOL * max_abs(getattr(built, key)):
+            raise ValueError(
+                f"base system {key} differs from the {key} its provenance builds by {diff:.3e}"
+            )
     return points, spec.dim
 
 
@@ -322,10 +333,9 @@ def _sweep_rows(values: list[float], w: np.ndarray, codes: np.ndarray,
                 gaps: np.ndarray) -> str:
     """CSV rows `value, re_0, im_0, ..., phase, min_gap` of a block of points,
     the phase given by its PhaseStack code."""
-    cols = np.empty((len(values), 2 * w.shape[1] + 3), dtype=object)
-    cols[:, 0], cols[:, -2], cols[:, -1] = values, _PHASE_NAMES[codes], gaps
-    cols[:, 1:-2] = w.view(np.float64)  # each row of w as re_0, im_0, re_1, ...
-    return format_rows("%.17g," * (cols.shape[1] - 2) + "%s,%.17g\n", cols)
+    floats = np.empty((len(values), 2 * w.shape[1] + 2))
+    floats[:, 0], floats[:, 1:-1], floats[:, -1] = values, w.view(np.float64), gaps
+    return labeled_csv_rows(floats, _PHASE_NAMES, codes)
 
 
 def sweep_block(dim: int) -> int:

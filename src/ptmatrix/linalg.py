@@ -41,7 +41,9 @@ SYMMETRY_TOL             1e-12  max|H - H^T| (check_pt_pairs; the    max|H| of t
                                 asymmetric route of cli evolve);
                                 max|A - A^T|, max|C - C^T|
                                 (make_h0); max|H - H^T| and
-                                max|H - H^H| (classify_matrix)
+                                max|H - H^H| (classify_matrix);
+                                max|stored - built| of a sweep's
+                                base h and p (cli._block_points)
 PT_COMMUTATION_TOL       1e-10  max|P conj(H) P - H|                 max|H| of the matrix
                                 (check_pt_pairs, classify_matrix)
                                 max|Im P|, max|P - P^T| and          1 (P is orthogonal)

@@ -7,15 +7,24 @@ round-trip representation, so identical inputs serialize byte-identically and
 parse back exactly. CSV uses 17 significant digits, '.' decimals, comma
 delimiters and LF line endings.
 
-The evolution-trace CSV formats each distinct value of the trace's product
-once, into one table of fixed-width ASCII fields, formats the time grid
-straight into the same fields, and builds the rows as bytes; the text is
-byte-identical to formatting every field with fmt17.
+Every CSV float of the sweep and the evolution trace is written by one
+numpy kernel, _fields, whose text is byte-identical to fmt17. Its fast path
+covers the fixed notation of %.17g, 1e-4 <= |v| < 1e17: with k =
+floor(log10|v|), Dekker's exact product splits |v|·10^(16-k) into an integer
+prod >= 1e16 and a residual err, so the 17-digit significand rounded half to
+even, as Python's dtoa rounds, is exact integer arithmetic. The digits come
+from a table of 4-digit groups, written into fixed-width fields whose pad
+spaces one bytes.translate deletes. Zeros are written directly; every other
+value (NaN, inf, outside the fixed range, or a log10 that misjudged the
+decade) is formatted by Python. The evolution-trace CSV formats each
+distinct value of the trace's product once, into one table of fields, and
+the time grid straight into its rows.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from typing import IO
 
 import numpy as np
@@ -168,22 +177,156 @@ def read_json(path):
         return json.load(fh)
 
 
-def format_rows(row: str, cols: np.ndarray) -> str:
-    """The rows of an (N, k) float or object array, each formatted by the
-    %-template row, in one pass; "%.17g" formats a float as fmt17 does."""
-    return (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+# A CSV float is first written as a fixed-width field whose bytes, with the
+# spaces deleted, are "%.17g" % v; a row of fields then loses its spaces in
+# one bytes.translate. Field layout: the sign, the "0.000" prefix of a value
+# below 1, and the 17 significant digits, each followed by a slot that holds
+# the decimal point after the integer digits and a space elsewhere. The last
+# byte is always a space, which _csv_blocks turns into the field's separator.
+_WIDTH = 40
+_SPACE = ord(" ")
+# floats per kernel pass: bounds the kernel's temporaries
+_BLOCK = 4 * TIME_BLOCK
+# fields per block of CSV rows: bounds the row buffer (2048 trace rows)
+_ROW_FIELDS = 3 * _BLOCK
+_SPLITTER = 2.0**27 + 1.0
 
 
-# one byte wider than the widest %.17g text, -4.9406564584124654e-324, so
-# every padded field ends in a space that its separator replaces
-_FIELD = 25
-_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo exactly, each with at most 26 bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _fields(x: np.ndarray) -> np.ndarray:
-    """(N, _FIELD) bytes: each float of x as fmt17 writes it, padded with spaces."""
-    text = (f"%-{_FIELD}.17g" * x.size) % tuple(x.tolist())
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(x.size, _FIELD)
+# 10^e for e = 0..20, all exact, and their halves
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words of the field layout: each 4-digit group with its point slots
+    (indices 0..9999) and the leading digit (10000..10009); the trailing
+    zeros of each group; and the XOR marks that set the sign, the prefix,
+    the blanked trailing zeros and the point."""
+    # a group is two digit pairs, each two digits with their slots
+    tens, ones = np.divmod(np.arange(100), 10)
+    pairs = tens + ones * 2**16 + (ord("0") * 0x10001 + _SPACE * 0x1000100)
+    quads = pairs[:, None] + pairs * 2**32
+    leads = (0x2020202020202020 ^ (np.arange(10) + ord("0") ^ _SPACE) * 2**48).view(np.uint64)
+    pair_zeros = np.where(ones == 0, 1 + (tens == 0), 0)
+    trailing = np.where(ones + tens == 0, 2 + pair_zeros[:, None], pair_zeros)
+    # one mark per (sign, decade k = -4..16, last significant digit 0..16)
+    neg, k, last = np.ix_(np.arange(2), np.arange(-4, 17), np.arange(17))
+    marks = np.zeros((2, 21, 17, _WIDTH), np.uint8)
+    marks[..., 0] = neg * (ord("-") ^ _SPACE)
+    for j, char in enumerate(b"0.000"):  # "0." and -k - 1 zeros below 1
+        marks[..., 1 + j] = (k < min(0, 1 - j)) * (char ^ _SPACE)
+    place = np.arange(17)
+    # a '0' past the last significant and the last integer digit is blanked
+    blank = place > np.maximum(last, k)[..., None]
+    marks[..., 6::2] = blank * (ord("0") ^ _SPACE)
+    # the point follows digit k when a fraction digit is significant
+    point = (place == k[..., None]) & (last > k)[..., None]
+    marks[..., 7::2] = point * (ord(".") ^ _SPACE)
+    return (np.concatenate((quads.ravel().view(np.uint64), leads)), trailing.ravel(),
+            marks.reshape(-1, _WIDTH).view("<u8"))
+
+
+_GROUPS, _TRAILING, _MARKS = _digit_tables()
+
+
+def _fill_fields(x: np.ndarray, words: np.ndarray) -> None:
+    """Write the fields of the float64 values x into words, a C-contiguous
+    (n, _WIDTH // 8) uint64 array.
+
+    Fast path, exact: with k = floor(log10|x|) in [-4, 16] (where %.17g
+    prints no exponent), |x|·10^(16-k) = prod + err exactly (Dekker's
+    product, 10^(16-k) an exact double), prod >= 1e16 > 2^53 is an integer,
+    and the 17-digit significand is N = prod + floor(err) rounded half to
+    even on err's fraction, as Python's dtoa rounds. Zeros are written
+    directly. Every other value is formatted by Python: NaN, inf, values
+    outside the fixed range, and any N outside [1e16, 1e17), which a log10
+    that misjudged a decade edge gives, or a value that rounds up to the
+    next power of ten.
+    """
+    with np.errstate(all="ignore"):  # log10(0); a signaling NaN may flag invalid
+        a = np.abs(x)
+        k = np.floor(np.log10(a))
+    outside = ~((k >= -4) & (k <= 16))
+    a[outside], k[outside] = 1.0, 0.0
+    e = (16 - k).astype(np.intp)
+    prod = a * _POW10[e]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[e], _POW10_LO[e]
+    err = ((a_hi * p_hi - prod) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    whole = np.floor(err)
+    frac = err - whole
+    n = prod.astype(np.int64) + whole.astype(np.int64)
+    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+    k = 16 - e
+    zero = x == 0
+    outside |= (n < 10**16) | (n >= 10**17)
+    outside &= ~zero
+    n[outside | zero] = 0
+    # N's leading digit and its four 4-digit groups, and its trailing zeros
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    q1, q3 = high // 10**4, low // 10**4
+    quads = (q1, high - q1 * 10**4, q3, low - q3 * 10**4)
+    trailing = _TRAILING[quads[0]]
+    for q in quads[1:]:
+        trailing = np.where(q == 0, trailing + 4, _TRAILING[q])
+    groups = np.empty((x.shape[0], 5), np.intp)
+    groups[:, 0] = lead + 10000
+    for j, q in enumerate(quads, 1):
+        groups[:, j] = q
+    np.take(_GROUPS, groups, out=words)
+    words ^= np.take(_MARKS, (np.signbit(x) * 21 + k + 4) * 17 + 16 - trailing, axis=0)
+    other = np.flatnonzero(outside)
+    if other.size:
+        text = (f"%-{_WIDTH}.17g" * other.size) % tuple(x[other].tolist())
+        words[other] = np.frombuffer(text.encode("ascii"), "<u8").reshape(other.size, -1)
+
+
+def _fields(x) -> np.ndarray:
+    """x.shape + (_WIDTH,) uint8 fields of the floats of x, cast to float64:
+    each field's bytes, spaces deleted, are "%.17g" % v, as fmt17 writes v."""
+    x = np.asarray(x, np.float64)
+    flat = x.ravel()
+    words = np.empty((flat.shape[0], _WIDTH // 8), "<u8")
+    for lo in range(0, flat.shape[0], _BLOCK):
+        _fill_fields(flat[lo:lo + _BLOCK], words[lo:lo + _BLOCK])
+    return words.view(np.uint8).reshape(x.shape + (_WIDTH,))
+
+
+def _csv_blocks(floats: np.ndarray, table: np.ndarray, codes: np.ndarray,
+                at: int) -> Iterator[str]:
+    """The CSV text of the rows of floats, an (N, m) array, a block at a
+    time: each row holds the fields of its floats and, before float column
+    at, the fields table[c] of its codes c, an (N, j) integer array. table
+    is (K, width) uint8 padded fields, each ending in a space."""
+    step = max(1, _ROW_FIELDS // (floats.shape[1] + codes.shape[1]))
+    for lo in range(0, floats.shape[0], step):
+        fields, coded = _fields(floats[lo:lo + step]), table[codes[lo:lo + step]]
+        fields[..., -1] = coded[..., -1] = ord(",")
+        rows = np.concatenate(
+            [f.reshape(f.shape[0], -1) for f in (fields[:, :at], coded, fields[:, at:])], axis=1
+        )
+        rows[:, -1] = ord("\n")
+        yield rows.tobytes().translate(None, b" ").decode("ascii")
+
+
+def labeled_csv_rows(floats: np.ndarray, names: tuple[str, ...], codes: np.ndarray) -> str:
+    """CSV rows of an (N, m) float array with the text column names[codes]
+    before the last float column, each float as fmt17 writes it. The names
+    hold no spaces."""
+    width = max(map(len, names)) + 1
+    table = np.frombuffer(b"".join(name.encode("ascii").ljust(width) for name in names),
+                          np.uint8).reshape(len(names), width)
+    return "".join(_csv_blocks(floats, table, codes[:, None], floats.shape[1] - 1))
 
 
 def write_trace_csv(fh: IO[str], trace: EvolutionTrace) -> None:
@@ -197,12 +340,4 @@ def write_trace_csv(fh: IO[str], trace: EvolutionTrace) -> None:
     # keyed on the bits: -0.0 and 0.0 are equal floats but print apart
     keys, inverse = np.unique(bits, return_inverse=True)
     table = _fields(keys.view(np.float64))
-    inverse = inverse.reshape(bits.shape)
-    # TIME_BLOCK rows at a time bound the memory of the row buffer
-    for lo in range(0, times.shape[0], TIME_BLOCK):
-        part = slice(lo, lo + TIME_BLOCK)
-        rows = np.empty((inverse[part].shape[0], 3, _FIELD), np.uint8)
-        rows[:, 0] = _fields(times[part])
-        np.take(table, inverse[part], axis=0, out=rows[:, 1:])
-        rows[..., -1] = _SEPARATORS
-        fh.write(rows.tobytes().translate(None, b" ").decode("ascii"))
+    fh.writelines(_csv_blocks(times[:, None], table, inverse.reshape(bits.shape), 1))

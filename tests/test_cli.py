@@ -507,6 +507,24 @@ def test_sweep_rows_match_fmt17_rows():
     assert ",-0," in want and "e-324" in want and "-inf" in want and "nan" in want
 
 
+def test_sweep_rows_across_kernel_blocks_match_fmt17_rows():
+    # D = 3 rows hold 8 floats and a phase: 700 rows span two row blocks,
+    # and each block's floats several kernel passes
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-2, 2, 700).tolist()
+    scale = 10.0 ** rng.integers(-20, 20, (700, 3))
+    w = rng.standard_normal((700, 3)) + 1j * rng.standard_normal((700, 3)) * scale
+    codes = rng.integers(0, 3, 700)
+    gaps = np.abs(rng.standard_normal(700))
+    names = [phase.value for phase in pt.Phase]
+    want = "".join(
+        f"{fmt17(x)}," + "".join(f"{fmt17(z.real)},{fmt17(z.imag)}," for z in row)
+        + f"{names[code]},{fmt17(gap)}\n"
+        for x, row, code, gap in zip(values, w, codes, gaps)
+    )
+    assert _sweep_rows(values, w, codes, gaps).splitlines() == want.splitlines()
+
+
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys, monkeypatch):
     # the block holds two residual failures; the earlier point decides, as it
     # would in a point-by-point sweep, though the stacked solve names the
@@ -567,7 +585,8 @@ def test_block_sweep_builds_one_rotation_per_block(tmp_path, capsys, monkeypatch
             "--out", str(tmp_path / "sweep.csv")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 3
+    # one per block, and one for the base pair the stored pair is checked against
+    assert len(calls) == 3 + 1
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep", "evolve"])
@@ -957,4 +976,31 @@ def test_evolve_defective_asymmetric_h_is_numerical_failure(tmp_path, capsys):
     assert main(["evolve", "--input", str(src), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: eigenvector matrix is numerically singular")
+    assert not out.exists()
+
+
+def test_sweep_base_system_pair_must_be_the_pair_its_provenance_builds(tmp_path, capsys):
+    src, out = tmp_path / "base.json", tmp_path / "sweep.csv"
+    assert main(["generate", "--dim", "2", "--signature", "1,1", "--seed", "0",
+                 "--out", str(src)]) == 0
+    obj = json.loads(src.read_text())
+    argv = ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "0", "--hi", "1",
+            "--step", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.exists()
+    out.unlink()
+    capsys.readouterr()
+    # an asymmetric h is rejected as analyze rejects it
+    h = [[9, 1], [0, 3]]
+    entries = [[x, 0] for row in h for x in row]
+    src.write_text(json.dumps({**obj, "h": {"dim": 2, "entries": entries}}))
+    for command in (["analyze", "--input", str(src)], argv):
+        assert main(command) == 1
+        assert capsys.readouterr().err.startswith("input error: H must be symmetric")
+    # a valid pair that is not the one the provenance builds
+    entries = [[2 * re, 2 * im] for re, im in obj["h"]["entries"]]
+    src.write_text(json.dumps({**obj, "h": {"dim": 2, "entries": entries}}))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "input error: base system h differs from the h its provenance builds by ")
     assert not out.exists()

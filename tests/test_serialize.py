@@ -231,3 +231,82 @@ def test_trace_csv_of_a_conserved_trace_matches_fmt17_rows():
     trace = pt.unitarity_trace(data, sys.p, c, a, a, steps=2 * TIME_BLOCK + 3)
     assert np.unique(trace.inner_products.real).size < TIME_BLOCK
     assert_same_rows(trace_csv(trace), fmt17_rows(trace))
+
+
+def kernel_text(x) -> list[str]:
+    """Each field of the CSV float kernel with its pad spaces deleted."""
+    return [row.tobytes().decode("ascii").replace(" ", "") for row in ser._fields(x)]
+
+
+def percent_17g(x) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(x, np.float64).tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_float_kernel_matches_percent_17g(values):
+    # any float64: subnormals, signed zeros, infinities and NaN payloads
+    assert kernel_text(values) == percent_17g(values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
+def test_csv_float_kernel_matches_percent_17g_on_bit_patterns(words):
+    x = np.array(words, dtype=np.uint64).view(np.float64)
+    assert kernel_text(x) == percent_17g(x)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(width=32), min_size=1, max_size=40))
+def test_csv_float_kernel_prints_float32_as_its_double(values):
+    x = np.array(values, dtype=np.float32)
+    assert kernel_text(x) == percent_17g(x.astype(np.float64))
+
+
+def test_csv_float_kernel_matches_percent_17g_in_bulk():
+    # more values than one kernel block: random bit patterns, and normal
+    # draws spread over the decades around the fixed-notation range
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    spread = rng.standard_normal(30_000) * 10.0 ** rng.uniform(-8, 20, 30_000)
+    for x in (bits, spread):
+        assert kernel_text(x) == percent_17g(x)
+
+
+def test_csv_float_kernel_rounds_exact_ties_half_to_even():
+    # o / 2^q = o * 5^q / 10^q has 18 significant digits, the last a 5, for
+    # o * 5^q in [1e17, 1e18): its 17-digit rounding is an exact tie. The
+    # decade is 17 - q; q = 2..21 covers the fixed decades 15 down to -4 (a
+    # double of decade 16 is an even integer, never a tie)
+    rng = np.random.default_rng(7)
+    ties = []
+    for q in range(2, 22):
+        lo, hi = -(-10**17 // 5**q), min(10**18 // 5**q, 2**53)
+        odd = rng.integers(lo, hi, 2000) | 1
+        x = odd[odd < hi] / 2.0**q
+        for v in x[:20].tolist():
+            digits = ("%.24e" % v).split("e")[0].replace(".", "")
+            assert digits[17] == "5" and set(digits[18:]) == {"0"}
+        ties.append(x)
+    x = np.concatenate(ties + [-t for t in ties])
+    assert kernel_text(x) == percent_17g(x)
+
+
+def test_csv_float_kernel_at_decade_edges():
+    # 10^k and its neighbours up to 3 ulps away, where log10 can misjudge
+    # the decade and the fixed range starts and ends
+    x = 10.0 ** np.arange(-5, 18)
+    for _ in range(3):
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    x = np.unique(np.concatenate([x, -x]))
+    assert kernel_text(x) == percent_17g(x)
+
+
+def test_trace_csv_of_non_repeating_values_matches_fmt17_rows():
+    # no value repeats, so every field of the product is a distinct entry
+    rng = np.random.default_rng(22)
+    steps = 10001
+    vals = rng.standard_normal(steps) + 1j * rng.standard_normal(steps)
+    trace = pt.EvolutionTrace(times=np.linspace(0.0, 10.0, steps), inner_products=vals,
+                              max_drift=0.0)
+    assert_same_rows(trace_csv(trace), fmt17_rows(trace))
