@@ -224,13 +224,14 @@ def cmd_counts(args) -> int:
 
 
 def _sweep_grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo + k * step for k = 0, 1, ... while at most hi (plus a relative 1e-12)."""
+    """lo + k * step for k = 0, 1, ... while at most hi, plus 1e-12 of the
+    range's larger end, max(|lo|, |hi|), for the round-off of k * step."""
     for flag, x in (("--lo", lo), ("--hi", hi), ("--step", step)):
         if not math.isfinite(x):
             raise UsageError(f"{flag} must be finite, got {x}")
     if step <= 0.0:
         raise UsageError("step must be positive")
-    limit = hi + 1e-12 * max(1.0, abs(hi))
+    limit = hi + 1e-12 * max(abs(lo), abs(hi))
     steps = (limit - lo) / step
     if not math.isfinite(steps):
         raise UsageError(f"--step {step} is too small for the range [{lo}, {hi}]")

@@ -6,15 +6,21 @@ stack, LAPACK dgeev for a real input and zgeev for a complex one, with the
 eigenpairs sorted by (Re, Im) and their backward errors checked. dgeev
 returns a real eigenvalue with an imaginary part of exactly 0, so real_mask,
 the one test of which eigenvalues count as real, is structural up to a
-cluster gap. clusters and multi_clusters group sorted eigenvalues within that
-gap (the caller gives each cluster one basis; see spectral.classify_stack),
-and eigvec_inverse inverts an eigenvector matrix unless it is numerically
+cluster gap. multi_clusters groups sorted eigenvalues within that gap (the
+caller gives each cluster one basis; see spectral.classify_stack), and
+eigvec_inverse inverts an eigenvector matrix unless it is numerically
 singular.
 
 Matrices are plain numpy arrays of float64 or complex128; everything here is
-a pure function of its inputs. eig_arrays computes ||m||_F once per stack
-(frobenius_norms) and returns it, and the caller passes it on to real_mask
-and multi_clusters.
+a pure function of its inputs. Every relative test runs in one exact unit
+per matrix m: 2^e, e the binary exponent of m's largest |entry| (np.frexp;
+of its largest real or imaginary part when m is complex). eig_arrays returns
+each row's e and nu = ||m 2^-e||_F; in_units(w, e) is w 2^-e, and real_mask
+and multi_clusters take that w and nu. Scaling by a power of two is exact,
+so each test decides as it would on m itself wherever m's own sums neither
+overflow nor underflow; the scaled entries lie below 1 in magnitude, so no
+norm or residual in units overflows, and no gap of a tiny m underflows to
+an absolute one.
 
 Tolerance policy. Each threshold has one meaning and one scale, listed
 here, so no verdict changes under H -> kH or H -> H + rI. M is the real
@@ -26,12 +32,12 @@ is the first row, and reaches no other decision.
 ======================== ====== ==================================== ====================
 name                     value  bounds                               relative to
 ======================== ====== ==================================== ====================
-DEFAULT_TOL (tol)        1e-10  ||Mv - wv||_2 of each unit           ||M||_F of the row
-                                eigenpair (eig_arrays): the
+DEFAULT_TOL (tol)        1e-10  ||Mv - wv||_2 of each unit           ||M||_F of the row,
+                                eigenpair (eig_arrays): the          both in its unit 2^e
                                 backward error
-CLUSTER_REL_GAP          1e-8   the gap within an eigenvalue         ||M||_F of the row
-                                cluster (clusters); 2|Im w| of an
-                                eigenvalue counted as real
+CLUSTER_REL_GAP          1e-8   the gap within an eigenvalue         ||M||_F of the row,
+                                cluster (multi_clusters); 2|Im w|    both in its unit 2^e
+                                of an eigenvalue counted as real
                                 (real_mask)
 COND_CAP                 1e8    cond(V) of eigenvector columns:      scale-free
                                 eigvec_inverse, a cluster's basis
@@ -91,50 +97,67 @@ def max_abs(m) -> float:
 
 
 def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
-    """Eigenvalues w, L2-normalized eigenvector columns v, their residuals
-    ||m v - w v||_2 and ||m||_F of a real or complex matrix, sorted by (Re,
-    Im). A residual above tol * ||m||_F, or one that is not finite, raises
-    ConvergenceError: tol bounds the relative backward error of each
-    eigenpair, so m -> km and m -> m + rI keep the verdict.
+    """Eigenvalues w and L2-normalized eigenvector columns v of a real or
+    complex matrix, sorted by (Re, Im), with the matrix's unit 2^e (see the
+    module docstring): e and nu = ||m 2^-e||_F. A residual
+    ||(m 2^-e) v - (w 2^-e) v||_2 above tol * nu, or one that is not finite,
+    raises ConvergenceError: tol bounds the relative backward error of each
+    eigenpair, so m -> km and m -> m + rI keep the verdict. dgeev and zgeev
+    solve m itself; only the test runs in units.
 
-    A (D, D) matrix gives shapes (D,), (D, D), (D,), (); an (N, D, D) stack
-    gives (N, D), (N, D, D), (N, D), (N,), row n holding what m[n] alone
+    A (D, D) matrix gives shapes (D,), (D, D), (), (); an (N, D, D) stack
+    gives (N, D), (N, D, D), (N,), (N,), row n holding what m[n] alone
     would give, from one batched LAPACK call: dgeev for a real m, zgeev for a
-    complex one. The residual bound applies to every row, with that row's
-    ||m||_F (frobenius_norms), which real_mask and multi_clusters take too. w
-    is complex; from dgeev a real eigenvalue has an imaginary part of exactly
-    0 and a real eigenvector, and a non-real one comes right after its exact
-    conjugate, with a bit-identical real part and the conjugate eigenvector
-    (v is real when every eigenvalue of the stack is).
+    complex one. Each row has its own unit, in which real_mask and
+    multi_clusters take w (in_units(w, e)) and nu. w is complex; from dgeev
+    a real eigenvalue has an imaginary part of exactly 0 and a real
+    eigenvector, and a non-real one comes right after its exact conjugate,
+    with a bit-identical real part and the conjugate eigenvector (v is real
+    when every eigenvalue of the stack is).
     """
     a = np.asarray(m)
     real = not np.iscomplexobj(a)
     a = a.astype(np.float64 if real else np.complex128, copy=False)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
     stack = a if a.ndim == 3 else a[None]
+    parts = stack if real else np.ascontiguousarray(stack).view(np.float64)
+    peak = np.abs(parts).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(peak).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    e = np.frexp(peak)[1]
     try:
         w, v = _sorted_pairs(*np.linalg.eig(stack))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"LAPACK {'dgeev' if real else 'zgeev'} did not converge for dimension {a.shape[-1]}"
         ) from exc
-
-    # products overflow near the float limit; a non-finite residual fails the bound
-    with np.errstate(over="ignore", invalid="ignore"):
+    w = w.astype(np.complex128, copy=False)
+    unit, wu = in_units(stack, e), in_units(w, e)
+    # an inf eigenvalue times a 0 entry of v gives a NaN residual, which fails
+    with np.errstate(invalid="ignore"):
         if real:
             v = np.ascontiguousarray(v)
-            res = column_norms(real_matmul(stack, v) - v * w[:, None, :])
+            res = column_norms(real_matmul(unit, v) - v * wu[:, None, :])
         else:
-            res = column_norms(stack @ v - v * w[:, None, :])
-    norms = frobenius_norms(stack)
-    _check_residuals(res, norms, tol)
-    w = w.astype(np.complex128, copy=False)
+            res = column_norms(unit @ v - v * wu[:, None, :])
+    nu = frobenius_norms(unit)
+    _check_residuals(res, nu, e, tol)
     if a.ndim == 2:
-        return w[0], v[0], res[0], norms[0]
-    return w, v, res, norms
+        return w[0], v[0], e[0], nu[0]
+    return w, v, e, nu
+
+
+def in_units(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x * 2^-e[n] for each row n of a real or complex stack x, exact unless
+    it leaves the float range; x itself when every e is 0. np.ldexp takes no
+    complex input, so a complex x is scaled through its float64 view."""
+    if not np.count_nonzero(e):
+        return x
+    e = -e.reshape(e.shape + (1,) * (x.ndim - 1))
+    if np.iscomplexobj(x):
+        return np.ldexp(np.ascontiguousarray(x).view(np.float64), e).view(x.dtype)
+    return np.ldexp(x, e)
 
 
 def _sorted_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,38 +169,39 @@ def _sorted_pairs(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return w[rows, order], v.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
 
 
-def real_mask(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Which eigenvalues w (N, D) of a real (N, D, D) stack m count as real:
-    those in one cluster with their conjugate, 2|Im w| <= CLUSTER_REL_GAP *
-    ||m||_F, the gap of multi_clusters; norms (N,) holds each ||m||_F
-    (frobenius_norms).
+def real_mask(w: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of a real (N, D, D) stack m count as real: those in
+    one cluster with their conjugate, 2|Im w| <= CLUSTER_REL_GAP * nu, the
+    gap of multi_clusters. w (N, D) and nu (N,) are in each row's unit, as
+    eig_arrays gives them: in_units(w, e) and ||m 2^-e||_F.
 
     dgeev returns a real eigenvalue with an imaginary part of exactly 0, so
     the test is structural; the gap admits only a (near-)degenerate real
     eigenvalue that round-off split into a 2x2 Schur block of a tiny pair.
-    |Im w| is compared with half the gap, which is exact, so no |Im w| near
-    the float limit overflows.
     """
-    return np.abs(w.imag) <= 0.5 * CLUSTER_REL_GAP * norms[:, None]
+    return np.abs(w.imag) <= 0.5 * CLUSTER_REL_GAP * nu[:, None]
 
 
-def _check_residuals(res: np.ndarray, norms: np.ndarray, tol: float) -> None:
-    """Raise ConvergenceError, naming the worst, unless every residual of
-    row n of res (N, D) is at most tol * norms[n]. A residual that is not
-    finite fails, also where norms[n] is inf."""
-    peak = float(res.max()) if res.size else 0.0
-    if math.isfinite(peak) and peak <= tol * float(norms.min(initial=math.inf)):
+def _check_residuals(res: np.ndarray, nu: np.ndarray, e: np.ndarray, tol: float) -> None:
+    """Raise ConvergenceError, naming the worst in m's own units, unless
+    every residual of row n of res (N, D) is at most tol * nu[n], both in
+    that row's unit 2^e[n]. A residual that is not finite fails."""
+    peak = float(res.max(initial=0.0))
+    if math.isfinite(peak) and peak <= tol * float(nu.min(initial=math.inf)):
         return  # every row's bound is at least the smallest
-    bound = tol * norms[:, None]
+    bound = tol * nu[:, None]
     ok = np.isfinite(res) & (res <= bound)
     if ok.all():
         return
     with np.errstate(divide="ignore", invalid="ignore"):
         excess = np.where(ok, 0.0, np.where(np.isfinite(res), res / bound, np.inf))
     n, k = np.unravel_index(excess.argmax(), res.shape)
+    # the figures in m's units may lie past the float range and read inf
+    with np.errstate(over="ignore"):
+        figure, limit = np.ldexp([res[n, k], bound[n, 0]], e[n])
     raise ConvergenceError(
-        f"eigenpair residual {res[n, k]:.3e} above tolerance {tol:.3e} * ||M||_F "
-        f"= {bound[n, 0]:.3e}; the input is ill-conditioned"
+        f"eigenpair residual {figure:.3e} above tolerance {tol:.3e} * ||M||_F "
+        f"= {limit:.3e}; the input is ill-conditioned"
     )
 
 
@@ -193,70 +217,27 @@ def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def column_norms(a: np.ndarray) -> np.ndarray:
     """2-norm of every column of a matrix, or of each matrix of a stack: what
-    np.linalg.norm(a, axis=-2) computes, without its per-call overhead. A
-    column whose sum of squares overflows is summed again (see _rescaled_norms)."""
-    squares = np.add.reduce((a.conj() * a).real, axis=-2)
-    if math.isfinite(squares.sum()):
-        return np.sqrt(squares)
-    return _rescaled_norms(squares, np.swapaxes(a, -1, -2))
+    np.linalg.norm(a, axis=-2) computes, without its per-call overhead."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """||m||_F of each matrix of an (N, D, D) stack. A matrix whose sum of
-    squares overflows is summed again (see _rescaled_norms)."""
-    with np.errstate(over="ignore"):
-        squares = np.add.reduce((stack.conj() * stack).real, axis=(-2, -1))
-        finite = math.isfinite(squares.sum())
-    if finite:
-        return np.sqrt(squares)
-    return _rescaled_norms(squares, stack.reshape(*stack.shape[:-2], -1))
+    """||m||_F of each matrix of an (N, D, D) stack."""
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(-2, -1)))
 
 
-def _rescaled_norms(squares: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sqrt(squares), where squares holds the sum of |x|^2 over the last axis
-    of vectors. Where that sum is not finite, it is summed again scaled by
-    the vector's largest |entry|, so finite entries give a finite norm unless
-    the norm itself is past the float range; a vector with an inf or NaN
-    entry keeps the plain sum's norm."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(squares)
-        big = ~np.isfinite(squares)
-        rows = np.abs(vectors[big])
-        scale = rows.max(axis=-1, initial=0.0)
-        rows /= scale[:, None]
-        scaled = scale * np.sqrt(np.add.reduce(rows * rows, axis=-1))
-    norms[big] = np.where(np.isfinite(scale), scaled, norms[big])
-    return norms
-
-
-def clusters(w: np.ndarray, norm: float) -> list[range]:
-    """Index runs of sorted eigenvalues w whose neighbours lie within
-    CLUSTER_REL_GAP * norm of each other, norm being ||m||_F of their m."""
-    gap = CLUSTER_REL_GAP * max(float(norm), 1e-300)
-    vals = w.tolist()
-    cuts = [i for i in range(1, len(vals)) if abs(vals[i] - vals[i - 1]) > gap]
-    edges = [0, *cuts, len(vals)] if vals else []
-    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def multi_clusters(w: np.ndarray, norms: np.ndarray) -> dict[int, list[range]]:
-    """{row: clusters(w[row], norms[row])} for the rows of an (N, D) stack of
-    sorted eigenvalues that hold a cluster of two or more; norms (N,) holds
-    each row's ||m||_F.
-
-    A vectorized screen, loose by a relative 1e-9 to cover the round-off of
-    numpy's complex abs, picks the candidate rows; the exact walk of
-    clusters decides each of them. A gap past the float range reads inf and
-    leaves its neighbours apart.
-    """
-    gap = CLUSTER_REL_GAP * norms
-    with np.errstate(over="ignore"):
-        near = (np.abs(w[:, 1:] - w[:, :-1]) <= gap[:, None] * (1.0 + 1e-9)).any(axis=1)
+def multi_clusters(w: np.ndarray, nu: np.ndarray) -> dict[int, list[range]]:
+    """{row: runs} for the rows of an (N, D) stack of sorted eigenvalues
+    that hold a cluster of two or more: runs are the index ranges of
+    neighbours within CLUSTER_REL_GAP * nu[row] of each other. w and nu are
+    in each row's unit, as for real_mask. |difference| is np.hypot of its
+    parts, which equals Python's complex abs bit for bit."""
+    diff = w[:, 1:] - w[:, :-1]
+    cut = np.hypot(diff.real, diff.imag) > CLUSTER_REL_GAP * nu[:, None]
     found = {}
-    for row in near.nonzero()[0].tolist():
-        runs = clusters(w[row], norms[row])
-        if len(runs) < w.shape[1]:
-            found[row] = runs
+    for row in (~cut).any(axis=1).nonzero()[0].tolist():
+        edges = [0, *(cut[row].nonzero()[0] + 1).tolist(), w.shape[1]]
+        found[row] = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
     return found
 
 

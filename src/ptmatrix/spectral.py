@@ -28,7 +28,8 @@ import numpy as np
 
 from .construct import PTSystem, block_draws, block_frame, check_pt_pairs
 from .linalg import (
-    COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, multi_clusters, real_mask, real_matmul,
+    COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, in_units, multi_clusters, real_mask,
+    real_matmul,
 )
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
@@ -147,8 +148,9 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     |x^T J x| < EP_ISOTROPY_TOL runs on dgeev's own columns x, and Python
     runs per row only to give each eigenvalue cluster of a real spectrum one
     basis under J (_krein_basis). The reported residuals are those of h's eigenpairs
-    (w, v); tol bounds those of M relative to ||M||_F (eig_arrays), which
-    equal ||h v - w v||_2 and ||h||_F up to round-off, as QS is unitary, so
+    (w, v), computed in M's unit 2^e (eig_arrays) and scaled back, so none
+    overflows; tol bounds those of M relative to ||M||_F, which equal
+    ||h v - w v||_2 and ||h||_F up to round-off, as QS is unitary, so
     h -> kh and h -> h + rI keep every verdict.
 
     A failure in any row raises for the whole stack: ValueError, from
@@ -172,8 +174,9 @@ def _classify(hs: np.ndarray, ps: np.ndarray, tol: float) -> PhaseStack:
     """classify_stack of complex stacks that have passed check_pt_pairs."""
     hr, hi = np.ascontiguousarray(hs.real), np.ascontiguousarray(hs.imag)
     m, q, plus = _krein_frame(hr, hi, ps)
-    w, x, _, scale = eig_arrays(m, tol)
-    real, broken, unbroken, fixed, norms = _verdict(w, x, plus, scale)
+    w, x, e, nu = eig_arrays(m, tol)
+    wu = in_units(w, e)
+    real, broken, unbroken, fixed, norms = _verdict(w, wu, x, plus, nu)
     n, d = w.shape
     # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
     # Re x and Im x of a pair span a Jordan chain, not eigenvectors
@@ -185,11 +188,10 @@ def _classify(hs: np.ndarray, ps: np.ndarray, tol: float) -> PhaseStack:
     first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
     top = v[np.arange(n)[:, None], first, np.arange(d)]
     v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
-    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v;
-    # near the float limit they overflow, as in eig_arrays, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        hv = real_matmul(hr, v) + 1j * real_matmul(hi, v)
-        residuals = column_norms(hv - v * w[:, None, :])
+    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v,
+    # in M's unit
+    hv = real_matmul(in_units(hr, e), v) + 1j * real_matmul(in_units(hi, e), v)
+    residuals = in_units(column_norms(hv - v * wu[:, None, :]), -e)
     return PhaseStack(
         w=w,
         v=v,
@@ -201,12 +203,12 @@ def _classify(hs: np.ndarray, ps: np.ndarray, tol: float) -> PhaseStack:
     )
 
 
-def _verdict(w: np.ndarray, x: np.ndarray, plus: np.ndarray,
-             scale: np.ndarray) -> tuple[np.ndarray, ...]:
+def _verdict(w: np.ndarray, wu: np.ndarray, x: np.ndarray, plus: np.ndarray,
+             nu: np.ndarray) -> tuple[np.ndarray, ...]:
     """The phase of each row of dgeev's eigenpairs (w (N, D), x (N, D, D),
-    as eig_arrays gives them) of real Krein frames M, J's +1 entries in plus
-    ((D,) or (N, D)) and ||M||_F in scale (N,): (real, broken, unbroken,
-    fixed, norms).
+    as eig_arrays gives them) of real Krein frames M, with w and ||M||_F in
+    each row's unit in wu and nu (N,) (linalg.in_units), and J's +1 entries
+    in plus ((D,) or (N, D)): (real, broken, unbroken, fixed, norms).
 
     real (N, D) marks the eigenvalues linalg.real_mask counts as real; broken
     and unbroken (N,) are the rows of those phases, and the other rows are
@@ -216,10 +218,11 @@ def _verdict(w: np.ndarray, x: np.ndarray, plus: np.ndarray,
     are the PT-norm signs of an unbroken row.
     """
     n, d = w.shape
-    real = real_mask(w, scale)
+    real = real_mask(wu, nu)
     broken = ~real.all(axis=1)
     # a real eigenvalue has a real x; a pair (w, conj w) counted as real
-    # spans Re x and Im x, taken from its -Im and +Im column
+    # spans Re x and Im x, taken from its -Im and +Im column; w, not wu,
+    # tells them apart, as a tiny Im w can underflow to 0 in units
     pair = (w.imag != 0.0) & ~broken[:, None]
     fixed = x
     if pair.any():
@@ -231,7 +234,7 @@ def _verdict(w: np.ndarray, x: np.ndarray, plus: np.ndarray,
     sign = np.where(plus, 1.0, -1.0)[..., :, None]
     norms = np.einsum("nik,nik->nk", sign * fixed, fixed)
     exceptional = (np.abs(norms) < EP_ISOTROPY_TOL).any(axis=1)
-    found = {row: runs for row, runs in multi_clusters(w, scale).items()
+    found = {row: runs for row, runs in multi_clusters(wu, nu).items()
              if not broken[row] and not exceptional[row]}
     if found:
         # a cluster row that is not broken is real; each cluster gets one basis
@@ -351,9 +354,10 @@ def find_unbroken_seeds(
             )
         seeds = range(seed, min(seed + size, end))
         frames = block_frame(block_draws(seeds, m_plus, m_minus), m_plus, m_minus)
-        w, x, _, scale = eig_arrays(frames, tol)
-        real = real_mask(w, scale).all(axis=1)
-        unbroken = _verdict(w[real], x[real], plus, scale[real])[2]
+        w, x, e, nu = eig_arrays(frames, tol)
+        wu = in_units(w, e)
+        real = real_mask(wu, nu).all(axis=1)
+        unbroken = _verdict(w[real], wu[real], x[real], plus, nu[real])[2]
         found += np.asarray(seeds)[real][unbroken].tolist()[:count - len(found)]
         seed, size = seeds.stop, min(2 * size, SCAN_BLOCK_MAX)
     return found

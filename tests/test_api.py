@@ -19,7 +19,8 @@ def test_one_eigensolver_and_no_second_propagation_path():
     # every general eigensolve goes through linalg.eig_arrays, and evolve
     # propagates with a classification's eigenpairs: the removed second
     # solver and propagator must not come back under their old names, nor
-    # the absolute class predicates that classify_matrix replaced
+    # the absolute class predicates that classify_matrix replaced, nor the
+    # overflow re-summing and the cluster walk that per-matrix units replaced
     package = pathlib.Path(pt.__file__).parent
     sites = []
     for path in sorted(package.glob("*.py")):
@@ -32,7 +33,8 @@ def test_one_eigensolver_and_no_second_propagation_path():
     modules = [importlib.import_module(f"ptmatrix.{info.name}")
                for info in pkgutil.iter_modules([str(package)])]
     for name in ("eig_real", "diagonalize", "mat_exp_times", "pt_norm_signature",
-                 "is_symmetric", "is_hermitian", "is_real", "is_orthogonal", "pt_commutes"):
+                 "is_symmetric", "is_hermitian", "is_real", "is_orthogonal", "pt_commutes",
+                 "_rescaled_norms", "clusters"):
         assert name not in pt.__all__
         assert [m.__name__ for m in (pt, *modules) if hasattr(m, name)] == []
 

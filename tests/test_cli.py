@@ -293,9 +293,10 @@ def test_sweep_point_failures_keep_their_exit_code(capsys, extra, code):
 
 
 def _grid_loop(lo, hi, step):
-    # the point-by-point grid: lo + k * step while at most hi (+ relative 1e-12)
+    # the point-by-point grid: lo + k * step while at most hi (+ 1e-12 of the
+    # larger end)
     values, k = [], 0
-    while lo + k * step <= hi + 1e-12 * max(1.0, abs(hi)):
+    while lo + k * step <= hi + 1e-12 * max(abs(lo), abs(hi)):
         values.append(lo + k * step)
         k += 1
     return values
@@ -964,6 +965,42 @@ def test_sweep_to_the_float_limit_gives_no_warning(tmp_path, capsys):
     assert len(rows) == 1 + 101
     assert rows[1].split(",")[-2] == "unbroken"
     assert rows[-1] == "1e+308,0,-1e+308,0,1e+308,broken,inf"
+
+
+def test_sweep_past_the_norm_range_stays_broken(capsys):
+    # from s = 1.3e308 on, ||H||_F = sqrt(2) s is past the float range while
+    # every entry is finite; the pair +-s i stays broken
+    argv = ["sweep", "--param", "s", "--t", "1", "--lo", "1.2e308", "--hi", "1.7e308",
+            "--step", "1e307"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 6
+    assert [row.split(",")[-2] for row in rows] == ["broken"] * 6
+
+
+def test_analyze_pairs_at_the_float_limit(tmp_path, capsys):
+    # ||H||_F is past the float range; the two conjugate pairs are +-a +- ai
+    a = 6.5e307
+    blocks = pt.BlockForm(np.diag([a, -a]), a * np.eye(2), np.diag([a, -a]))
+    sys_ = pt.make_pt_system(blocks, pt.ParitySpec(2, 2, np.zeros(6)))
+    code, report = analyze_report(tmp_path, capsys, system_to_obj(sys_))
+    assert code == 0
+    assert report["spectrum"]["phase"] == "broken"
+    assert report["spectrum"]["conjugate_pairs"] == 2
+
+
+@pytest.mark.parametrize("lo,hi,step", [(0.0, 1e-13, 1e-14), (1e-170, 2e-170, 1e-171)])
+def test_sweep_grid_end_allowance_is_relative(capsys, lo, hi, step):
+    # the overshoot allowed past hi is 1e-12 of max(|lo|, |hi|), so a range
+    # below 1 ends at hi, as a range above 1 does
+    want = _grid_loop(lo, hi, step)
+    assert len(want) == 11 and want[-1] == pytest.approx(hi, rel=1e-12)
+    assert _sweep_grid(lo, hi, step) == want
+    argv = ["sweep", "--param", "s", "--t", "1", "--lo", repr(lo), "--hi", repr(hi),
+            "--step", repr(step)]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == want
 
 
 def test_evolve_defective_asymmetric_h_is_numerical_failure(tmp_path, capsys):

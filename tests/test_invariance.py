@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmatrix as pt
+from ptmatrix import spectral
 
 from _seeds import UNBROKEN_SEEDS
+from test_spectral import _cayley_system
 
 CORPUS = [(key, seed) for key, seeds in UNBROKEN_SEEDS.items() for seed in seeds]
 CORPUS += [((6, 4, 2), seed) for seed in range(40)]
@@ -100,6 +102,50 @@ def test_frozen_862_system_keeps_its_verdict_in_other_units(change):
     got = _classify(h, sys.p)
     assert got.phase is pt.Phase.UNBROKEN
     assert sorted(got.pt_norm_signs.tolist()) == sorted(pt.classify_phase(sys).pt_norm_signs.tolist())
+
+
+# scales at which the squares summed for ||M||_F underflow (1e-300 to
+# 1e-160) or overflow (1e160, 1e300)
+EXTREME_SCALES = [1e-300, 1e-250, 1e-170, 1e-160, 1e160, 1e300]
+
+
+def _real_mask_and_clusters(m):
+    w, _, e, nu = pt.eig_arrays(m)
+    wu = pt.linalg.in_units(w, e)
+    return pt.linalg.real_mask(wu, nu), pt.linalg.multi_clusters(wu, nu)
+
+
+@functools.cache
+def _cayley_frames():
+    frames = []
+    for seed in range(120):
+        sys = _cayley_system(seed)
+        frames.append(spectral._krein_frame(sys.h.real[None], sys.h.imag[None], sys.p)[0])
+    return frames
+
+
+@pytest.mark.parametrize("k", EXTREME_SCALES)
+def test_clusters_and_real_mask_are_scale_invariant_in_units(k):
+    # the Cayley frames have exactly degenerate eigenvalues, so their clusters
+    # and real masks are decided by the gap; their phases are not compared,
+    # since dgeev's basis of a cluster moves with the scale
+    for seed, m in enumerate(_cayley_frames()):
+        want_real, want_runs = _real_mask_and_clusters(m)
+        got_real, got_runs = _real_mask_and_clusters(k * m)
+        np.testing.assert_array_equal(got_real, want_real, err_msg=f"seed {seed}")
+        assert got_runs == want_runs, seed
+
+
+@pytest.mark.parametrize("k", EXTREME_SCALES)
+def test_verdict_is_invariant_at_extreme_scales(k):
+    frozen = sum(len(seeds) for seeds in UNBROKEN_SEEDS.values())
+    systems = [_system(index) for index in range(frozen)]
+    # the two-level family at and around its exceptional point s = t = 1
+    for s in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0):
+        systems.append(pt.pt_system_from_matrices(pt.h2(pt.TwoByTwoParams(0.1, s, 1.0, 0.7)),
+                                                  pt.p2(0.7)))
+    for sys in systems:
+        assert _verdict(_classify(k * sys.h, sys.p)) == _verdict(pt.classify_phase(sys))
 
 
 _VERDICTS = """

@@ -8,15 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptmatrix as pt
-from ptmatrix.linalg import CLUSTER_REL_GAP, clusters, eig_arrays, frobenius_norms
+from ptmatrix.linalg import (
+    CLUSTER_REL_GAP, column_norms, eig_arrays, frobenius_norms, in_units, multi_clusters,
+)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def _residuals(m, w, v):
+    """||m v_k - w_k v_k||_2 of each eigenpair, in m's own units."""
+    return np.linalg.norm(m @ v - v * w[..., None, :], axis=-2)
+
+
 def test_eigendecompose_diagonal():
-    w, _, res, _ = eig_arrays(np.diag([2.0, 0.0]))
+    m = np.diag([2.0, 0.0])
+    w, v, e, nu = eig_arrays(m)
     assert w.tolist() == [0.0, 2.0]  # sorted by (re, im)
-    assert (res <= 1e-14).all()
+    assert (_residuals(m, w, v) <= 1e-14).all()
+    assert (e, nu) == (2, 0.5)  # max|m| = 2 = 0.5 * 2^2, ||m 2^-2||_F = 0.5
 
 
 def test_eigendecompose_real_pair():
@@ -76,8 +85,8 @@ def test_lapack_failure_raises_convergence_error(monkeypatch):
 def test_residual_contract(dim, rng):
     for _ in range(25):
         m = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
-        _, v, res, _ = eig_arrays(m, tol=1e-10)
-        assert res.max() <= 1e-10
+        w, v, _, _ = eig_arrays(m, tol=1e-10)
+        assert _residuals(m, w, v).max() <= 1e-10 * np.linalg.norm(m)
         for k in range(dim):
             np.testing.assert_allclose(np.linalg.norm(v[:, k]), 1.0, atol=1e-12)
 
@@ -90,7 +99,7 @@ def _scaled_residual(h, s):
 
 
 @pytest.mark.parametrize("m,bad", [
-    ([[1e300, 1e300j], [1e300j, -1e300]], "finite"),  # the residual's sum of squares overflows
+    ([[1e300, 1e300j], [1e300j, -1e300]], "finite"),  # squares past the float range
     ([[1.7e308, 1e308], [1e308, 1.7e308]], "nan"),  # an eigenvalue is inf
 ])
 def test_overflowing_residual_is_rejected_without_warning(m, bad):
@@ -98,7 +107,8 @@ def test_overflowing_residual_is_rejected_without_warning(m, bad):
     # tolerance below round-off rejects it; a NaN residual fails at any tol
     h = np.array(m, dtype=complex)
     if bad == "finite":
-        assert eig_arrays(h)[2].max() > 1e280
+        eig_arrays(h)
+        assert _scaled_residual(h, 1e300) > 1e280
     tol = 1e-300 if bad == "finite" else pt.DEFAULT_TOL
     with pytest.raises(pt.ConvergenceError, match="above tolerance") as exc:
         eig_arrays(h, tol)
@@ -111,11 +121,11 @@ def test_overflowing_residual_is_rejected_without_warning(m, bad):
 
 @pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
 def test_overflowing_cluster_gap_keeps_the_residual(s):
-    # ||H||_F^2 overflows here; the cluster gap must not become inf, which
-    # would join both eigenvalues into one cluster and rewrite its columns,
-    # and the residual's own sum of squares overflows past s = 1e154. The
-    # relative bound accepts the pair; a tolerance below round-off rejects
-    # it with the true figure
+    # ||H||_F^2 is past the float range here, and the residual's own sum of
+    # squares past s = 1e154; in H's unit neither is. The cluster gap must
+    # not become inf, which would join both eigenvalues into one cluster and
+    # rewrite its columns. The relative bound accepts the pair; a tolerance
+    # below round-off rejects it with the true figure
     h = pt.h2(pt.TwoByTwoParams(0.0, s, 1.0, np.pi / 2))
     data = pt.classify_phase(pt.pt_system_from_matrices(h, pt.p2(np.pi / 2)))
     assert data.phase is pt.Phase.BROKEN and data.conjugate_pairs == 1
@@ -127,28 +137,41 @@ def test_overflowing_cluster_gap_keeps_the_residual(s):
 
 
 def test_infinite_residual_fails_where_the_norm_is_infinite(monkeypatch):
-    # ||M||_F overflows to inf, so tol * ||M||_F is inf too; an inf residual
-    # must still fail, which inf <= tol * inf alone would let through
+    # ||M||_F overflows to inf, but in M's unit it is finite: the bound is
+    # tol * ||M||_F = 3.4e298, and a residual past the float range reads inf
     m = np.full((1, 2, 2), 1.7e308)
-    assert np.isinf(frobenius_norms(m)).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(frobenius_norms(m)).all()
     monkeypatch.setattr(np.linalg, "eig", lambda a: (np.zeros(a.shape[:-1]), np.eye(2)[None]))
     with pytest.raises(pt.ConvergenceError, match=r"eigenpair residual inf above tolerance "
-                                                  r"1.000e-10 \* \|\|M\|\|_F = inf"):
+                                                  r"1.000e-10 \* \|\|M\|\|_F = 3.400e\+298"):
         eig_arrays(m)
+    # an eigenvalue past the float range leaves a NaN residual where it meets
+    # a 0 part of its eigenvector, and an inf one where every part of a
+    # complex eigenvector is nonzero; both fail at every tol, also where
+    # tol * ||M||_F is inf
+    dense = np.array([[[1.0, 1.0], [1.0, -1.0]]]) * (0.5 + 0.5j)
+    for stack, v, figure in ((m, np.eye(2)[None], "nan"), (m + 0j, dense, "inf")):
+        monkeypatch.setattr(np.linalg, "eig", lambda a, v=v: (np.array([[np.inf, 0.0]]), v))
+        for tol in (1e-10, 0.5, 1e300, np.inf):
+            with pytest.raises(pt.ConvergenceError, match=f"eigenpair residual {figure} above"):
+                eig_arrays(stack, tol)
 
 
 def test_frobenius_norms_of_large_entries_stay_finite():
+    # in each matrix's unit 2^e no sum of squares overflows, and the norms
+    # scale back exactly
     m = np.array([[[1e200, -1e200], [3e200, 0.0]], [[3.0, 0.0], [0.0, 4.0]]])
-    norms = frobenius_norms(m)
-    np.testing.assert_allclose(norms, [np.sqrt(11.0) * 1e200, 5.0], rtol=1e-15)
+    for stack in (m, 1j * m):
+        _, _, e, nu = eig_arrays(stack)
+        np.testing.assert_array_equal(nu, frobenius_norms(in_units(stack, e)))
+        np.testing.assert_allclose(np.ldexp(nu, e), [np.sqrt(11.0) * 1e200, 5.0], rtol=1e-15)
+        got = np.ldexp(column_norms(in_units(stack, e)), e[:, None])
+        np.testing.assert_allclose(got, [[np.sqrt(10.0) * 1e200, 1e200], [3.0, 4.0]], rtol=1e-15)
+    # the cluster gap stays relative: 1e-8 ||m||_F of the first row
     gap = CLUSTER_REL_GAP * np.sqrt(11.0) * 1e200
-    w = np.array([0.0, 0.5 * gap, 3.0 * gap], dtype=complex)
-    assert clusters(w, norms[0]) == [range(0, 2), range(2, 3)]
-    # column norms re-sum only the columns whose sum of squares overflows
-    with np.errstate(over="ignore"):
-        got = pt.linalg.column_norms(np.concatenate([m, 1j * m]))
-    want = [[np.sqrt(10.0) * 1e200, 1e200], [3.0, 4.0]] * 2
-    np.testing.assert_allclose(got, want, rtol=1e-15)
+    w = np.array([[0.0, 0.5 * gap, 3.0 * gap], [0.0, 1.0, 2.0]], dtype=complex)
+    assert multi_clusters(in_units(w, e), nu) == {0: [range(0, 2), range(2, 3)]}
 
 
 def test_eig_real_overflowing_residual_is_rejected_without_warning():
@@ -159,8 +182,9 @@ def test_eig_real_overflowing_residual_is_rejected_without_warning():
 
 def test_real_input_is_solved_by_dgeev_with_exact_conjugate_pairs(rng):
     m = rng.uniform(-1, 1, (64, 5, 5))
-    w, x, res, _ = eig_arrays(m)
-    assert w.dtype == np.complex128 and x.flags.c_contiguous and res.max() <= 1e-10
+    w, x, _, _ = eig_arrays(m)
+    assert w.dtype == np.complex128 and x.flags.c_contiguous
+    assert _residuals(m, w, x).max() <= 1e-10
     for row_w, row_x in zip(w, x):
         for k in np.flatnonzero(row_w.imag < 0.0):
             # a conjugate pair sorts -Im first; its partner is the exact conjugate
@@ -193,13 +217,17 @@ def test_eigenvalue_sum_is_trace(dim, seed):
 
 
 def test_clusters_split_just_above_the_gap():
-    norm = float(frobenius_norms(np.diag([3.0, 4.0])[None])[0])  # ||m||_F = 5
+    # ||m||_F = 5 = 0.625 * 2^3, so w = -gap is exactly the gap in units too
+    _, _, e, nu = eig_arrays(np.diag([3.0, 4.0])[None])
+    assert (e.tolist(), nu.tolist()) == ([3], [0.625])
     gap = CLUSTER_REL_GAP * 5.0
-    w = np.array([-gap, 0.0, np.nextafter(gap, np.inf), 1.0], dtype=complex)
+    w = np.array([[-gap, 0.0, np.nextafter(gap, np.inf), 1.0]], dtype=complex)
     # |0 - (-gap)| is exactly the gap (joined); the next step is one ulp above
-    assert clusters(w, norm) == [range(0, 2), range(2, 3), range(3, 4)]
-    assert clusters(w[:0], norm) == []
-    assert clusters(np.zeros(3, dtype=complex), norm) == [range(0, 3)]
+    assert multi_clusters(in_units(w, e), nu) == {0: [range(0, 2), range(2, 3), range(3, 4)]}
+    # only rows that hold a cluster of two or more are listed
+    rows = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.5, 0.5j, 0.5j]])
+    assert multi_clusters(rows, np.ones(3)) == {0: [range(0, 3)], 2: [range(0, 1), range(1, 3)]}
+    assert multi_clusters(w[:, :0], nu) == {}
 
 
 def test_eigendecompose_rejects_bad_input():
@@ -214,8 +242,8 @@ def test_eigendecompose_rejects_bad_input():
 def test_eigendecompose_solves_beyond_64():
     # no dimension cap: D = 65 solves like any other size
     diag = np.arange(65, 0, -1) / 7.0
-    w, _, res, _ = eig_arrays(np.diag(diag))
-    assert res.max() <= pt.DEFAULT_TOL
+    w, v, _, _ = eig_arrays(np.diag(diag))
+    assert _residuals(np.diag(diag), w, v).max() <= pt.DEFAULT_TOL
     np.testing.assert_array_equal(w, np.sort(diag))
 
 
@@ -224,8 +252,8 @@ def test_defective_input_keeps_residual_contract():
     # residual, and inverting the eigenvector matrix flags it as singular
     jordan = np.eye(4, k=1) + 2 * np.eye(4)
     for m in (jordan, jordan.astype(complex)):
-        w, v, res, _ = eig_arrays(m)
-        assert res.max() <= 1e-12
+        w, v, _, _ = eig_arrays(m)
+        assert _residuals(m, w, v).max() <= 1e-12
         np.testing.assert_allclose(w, [2.0] * 4, atol=1e-8)
         with pytest.raises(pt.ExceptionalPointError):
             pt.linalg.eigvec_inverse(v)

@@ -78,6 +78,19 @@ def test_classify_exceptional_at_coalescence():
         assert pt.classify_phase(sys).phase is pt.Phase.EXCEPTIONAL
 
 
+def test_classify_broken_pairs_past_the_norm_range():
+    # ||H||_F = 4a is past the float range, every entry finite: in H's unit
+    # the four eigenvalues +-a +- ai stay apart and non-real
+    a = 6.5e307
+    blocks = pt.BlockForm(np.diag([a, -a]), a * np.eye(2), np.diag([a, -a]))
+    data = pt.classify_phase(pt.make_pt_system(blocks, pt.ParitySpec(2, 2, np.zeros(6))))
+    assert data.phase is pt.Phase.BROKEN
+    assert data.conjugate_pairs == 2 and data.real_count == 0
+    np.testing.assert_allclose(data.w, a * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]),
+                               rtol=1e-12)
+    assert np.isfinite(data.residuals).all() and data.residuals.max() <= 1e-10 * a
+
+
 @pytest.mark.parametrize("delta", [1e-9, -1e-9, 5e-9, -5e-9, 0.0])
 def test_classify_exceptional_window(delta):
     data = pt.classify_phase(two_level_system(0.0, 1.0 + delta, 1.0, 0.7))
@@ -246,11 +259,12 @@ def test_scan_verdict_agrees_with_classify_phase_under_rotation(mp, mm):
         seeds = sorted({*range(300), *UNBROKEN_SEEDS.get((mp + mm, mp, mm), [])})
         draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
     frames = pt.construct.block_frame(draws, mp, mm)
-    w, x, _, _ = pt.eig_arrays(frames)
-    scale = pt.linalg.frobenius_norms(frames)
-    real = pt.linalg.real_mask(w, scale).all(axis=1)
+    w, x, e, nu = pt.eig_arrays(frames)
+    wu = pt.linalg.in_units(w, e)
+    real = pt.linalg.real_mask(wu, nu).all(axis=1)
     scan = np.zeros(len(draws), dtype=bool)
-    scan[real] = spectral._verdict(w[real], x[real], np.arange(mp + mm) < mp, scale[real])[2]
+    scan[real] = spectral._verdict(w[real], wu[real], x[real], np.arange(mp + mm) < mp,
+                                   nu[real])[2]
     rng = np.random.default_rng(mp * 10 + mm)
     for n, row in enumerate(draws):
         blocks = pt.construct.blocks_from_draws(row, mp, mm)
@@ -271,10 +285,10 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
     seeds = [*range(4096), *frozen]
     draws = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, k) for s in seeds])
     frames = pt.construct.block_frame(draws, mp, mm)
-    w, _, res, _ = pt.eig_arrays(frames, tol)
+    w, x, e, nu = pt.eig_arrays(frames, tol)
     h0 = pt.make_h0(pt.construct.blocks_from_draws(draws, mp, mm))
-    wc, _, resc, _ = pt.eig_arrays(h0, tol)
-    mask = pt.linalg.real_mask(w, pt.linalg.frobenius_norms(frames)).all(axis=1)
+    wc, xc, ec, nuc = pt.eig_arrays(h0, tol)
+    mask = pt.linalg.real_mask(pt.linalg.in_units(w, e), nu).all(axis=1)
     # the reference: H0's complex spectrum, each eigenvalue real within tol
     real_c = np.abs(wc.imag) <= tol * np.maximum(1.0, np.abs(wc))
     np.testing.assert_array_equal(mask, real_c.all(axis=1))
@@ -285,7 +299,14 @@ def test_scan_prescreen_matches_the_complex_block_form(mp, mm):
     near = dist.argmin(axis=2)
     assert dist.min(axis=2).max() <= 1e-10
     np.testing.assert_array_equal(np.sort(near, axis=1), np.broadcast_to(np.arange(mp + mm), near.shape))
+    # x is a unit eigenvector of M exactly when Sx is one of H0, with the
+    # same residual
+    res = np.linalg.norm(frames @ x - x * w[:, None, :], axis=1)
+    resc = np.linalg.norm(h0 @ xc - xc * wc[:, None, :], axis=1)
     assert np.abs(res - np.take_along_axis(resc, near, axis=1)).max() <= 1e-13
+    # M's entries are H0's up to a factor i, so the residual bound has H0's unit
+    np.testing.assert_array_equal(e, ec)
+    np.testing.assert_allclose(nu, nuc, rtol=1e-15)
 
 
 def test_scan_prescreen_keeps_the_residual_bound():
@@ -293,8 +314,9 @@ def test_scan_prescreen_keeps_the_residual_bound():
     # ||M||_F; a tolerance below round-off fails them
     draws = 1e7 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, pt.construct.block_draw_count(6, 2)))
     frames = pt.construct.block_frame(draws, 6, 2)
-    res, norms = pt.eig_arrays(frames, 1e-10)[2:]
-    assert res.max() > 1e-10 and (res <= 1e-10 * norms[:, None]).all()
+    w, x, e, nu = pt.eig_arrays(frames, 1e-10)
+    res = np.linalg.norm(frames @ x - x * w[:, None, :], axis=1)
+    assert res.max() > 1e-10 and (res <= 1e-10 * np.ldexp(nu, e)[:, None]).all()
     with pytest.raises(pt.ConvergenceError, match=r"above tolerance 1.000e-300 \* \|\|M\|\|_F"):
         pt.eig_arrays(frames, 1e-300)
     # in a scan, the failing prescreen raises for the whole block
@@ -367,12 +389,13 @@ def test_degenerate_cluster_is_krein_orthogonal():
         j = sys.p.real
         # the test bites: dgeev's basis of the frame's clusters is not J-orthogonal
         m, _, plus = spectral._krein_frame(sys.h.real[None], sys.h.imag[None], sys.p)
-        x = pt.eig_arrays(m)[1][0]
+        _, x, e, nu = pt.eig_arrays(m)
+        x = x[0]
         gram = x.T @ (np.where(plus, 1.0, -1.0)[:, None] * x)
         assert np.abs(gram - np.diag(np.diag(gram))).max() > 1e-3
         data = pt.classify_phase(sys)
         assert data.phase is pt.Phase.UNBROKEN
-        for run in pt.linalg.clusters(data.w, np.linalg.norm(m[0])):
+        for run in pt.linalg.multi_clusters(pt.linalg.in_units(data.w[None], e), nu)[0]:
             block = data.v[:, run.start:run.stop]
             gram = block.T @ block
             assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-10
@@ -568,8 +591,9 @@ def test_classify_stack_residual_bound_covers_every_row():
     pt.classify_stack(h[:2], exact.p, 1e-300)
     with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-300"):
         pt.classify_stack(h, exact.p, 1e-300)
-    # at the default tol, a non-finite residual in the last row fails too
-    # (an eigenvalue past the float range), though its ||M||_F is inf
+    # a non-finite residual in the last row (an eigenvalue past the float
+    # range) fails at every tol; the bound it names is the true tol *
+    # ||M||_F, though ||M||_F itself is past the float range
     p = np.diag([1.0, 1.0, -1.0]).astype(complex)
     h = np.zeros((3, 3, 3), dtype=complex)
     h[:, 2, 2] = 1.0
@@ -577,8 +601,11 @@ def test_classify_stack_residual_bound_covers_every_row():
     h[2, :2, :2] = [[1.7e308, 1e308], [1e308, 1.7e308]]
     pt.classify_stack(h[:2], p)
     with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above tolerance "
-                                                  r"1.000e-10 \* \|\|M\|\|_F = inf"):
+                                                  r"1.000e-10 \* \|\|M\|\|_F = 2.789e\+298"):
         pt.classify_stack(h, p)
+    for tol in (1e-300, 0.5, 1e300, np.inf):
+        with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above"):
+            pt.classify_stack(h, p, tol)
 
 
 def test_classify_stack_rejects_bad_shapes():
@@ -656,8 +683,8 @@ def test_real_products_match_the_complex_formulas(name):
                                        np.ascontiguousarray(h.imag), p)
     m_ref, qs = _complex_frame(h, p)
     assert np.abs(m - m_ref.real).max() <= 1e-13 * scale
-    w, x, res, _ = pt.eig_arrays(m)
-    assert np.abs(res - _complex_residuals(m, x, w)).max() <= 1e-13 * scale
+    _, x, e, nu = pt.eig_arrays(m)
+    np.testing.assert_allclose(np.ldexp(nu, e), np.linalg.norm(m, axis=(1, 2)), rtol=1e-15)
     assert np.abs(spectral._frame_vectors(q, plus, x) - qs @ x).max() <= 1e-14
     got = pt.classify_stack(h, p)
     assert np.abs(got.residuals - _complex_residuals(h, got.v, got.w)).max() <= 1e-13 * scale

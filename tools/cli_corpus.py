@@ -16,8 +16,10 @@ The corpus: 64 two-level sweeps of 2001 points across the exceptional point
 sweeps in steps of 1e-7 around it, sweeps over [-1e300, 1e300], to the float
 limit and at tiny and huge scales; 28 generated systems (24 frozen (8,6,2)
 seeds and one of each smaller signature) with ``analyze``, two 10001-step
-``evolve`` traces each, and block sweeps of ten of them; and four ``evolve``
-runs of the asymmetric fixture.
+``evolve`` traces each, and block sweeps of ten of them; four ``evolve``
+runs of the asymmetric fixture; and, last, two sweeps at the ends of the
+float range: s in [1.2e308, 1.7e308], where ||H||_F overflows while every
+entry stays finite, and s in [0, 1e-13] in steps of 1e-14.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def corpus(tree: Path, out: Path) -> list[list[str]]:
          "--out", "OUT"],
         ["evolve", "--input", fixture, "--t-max", "1e308"],
         ["evolve", "--input", fixture],
+    ]
+    # both ends of the float range: a broken pair whose ||H||_F overflows,
+    # and a grid whose end allowance must stay relative below 1
+    cmds += [
+        ["sweep", "--param", "s", "--t", "1", "--lo", "1.2e308", "--hi", "1.7e308", "--step",
+         "1e307"],
+        ["sweep", "--param", "s", "--t", "1", "--lo", "0", "--hi", "1e-13", "--step", "1e-14"],
     ]
     return cmds
 
