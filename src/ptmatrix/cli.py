@@ -161,6 +161,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_generate(args) -> int:
+    if args.dim < 1:
+        raise UsageError(f"--dim must be at least 1, got {args.dim}")
     sig = _signature(args.signature) if args.signature else max_signature(args.dim)
     if sig[0] + sig[1] != args.dim or min(sig) < 0:
         raise UsageError(f"signature {sig} does not sum to dim {args.dim}")

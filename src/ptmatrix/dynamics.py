@@ -205,7 +205,7 @@ def nonunitarity_demo(
     weight = inv_rows @ vinv
     comm = max_abs(weight @ h - h @ weight)
     scale = max_abs(h)
-    conclusive = comm > COMMUTATOR_REL_THRESHOLD * max(scale, 1e-300)
+    conclusive = comm > COMMUTATOR_REL_THRESHOLD * scale
 
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])

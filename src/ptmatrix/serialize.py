@@ -31,7 +31,7 @@ import numpy as np
 
 from .construct import BlockForm, ParitySpec, PTSystem, pt_system_from_matrices
 from .dynamics import TIME_BLOCK, EvolutionTrace
-from .spectral import SpectralData
+from .spectral import SpectralData, _is_int
 
 
 def fmt17(x: float) -> str:
@@ -52,7 +52,7 @@ def matrix_to_obj(m) -> dict:
 def _json_int(value, name: str) -> int:
     """value when it is a JSON integer (a bool is not), else ValueError naming
     the field and the value: 2.9, true and "2" are not read as 2, 1 and 2."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
     return int(value)
 

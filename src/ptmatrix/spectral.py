@@ -22,11 +22,13 @@ product).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .construct import PTSystem, block_draws, block_frame, check_pt_pairs
+from .errors import ConvergenceError
 from .linalg import (
     COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, in_units, multi_clusters, real_mask,
     real_matmul,
@@ -89,24 +91,53 @@ def pt_apply(v, p) -> np.ndarray:
 class PhaseStack:
     """Classification of an (N, D, D) stack of systems, one row per system.
 
-    w (N, D) is sorted by (Re, Im), v (N, D, D) holds unit eigenvector
-    columns, PT-fixed in unbroken rows (see SpectralData), and residuals
-    (N, D) their eigenpair residuals; codes (N,) holds each row's phase as
-    an index into PHASE_OF_CODE (the order of Phase), and signs the PT-norm
-    signs of unbroken rows and 0 elsewhere.
+    w (N, D) is sorted by (Re, Im); codes (N,) holds each row's phase as an
+    index into PHASE_OF_CODE (the order of Phase), and signs the PT-norm
+    signs of unbroken rows and 0 elsewhere. v (N, D, D) holds unit
+    eigenvector columns, PT-fixed in unbroken rows (see SpectralData), and
+    residuals (N, D) their eigenpair residuals; the verdict does not need
+    them, so each is formed from the frame the verdict leaves (_frame) when
+    first read, v at most once, and kept. The stack is read-only: assigning
+    any attribute raises.
     """
 
     w: np.ndarray
-    v: np.ndarray
-    residuals: np.ndarray
     codes: np.ndarray
     real_count: np.ndarray
     conjugate_pairs: np.ndarray
     signs: np.ndarray
+    # (q, plus, x, fixed, hr, hi, e): Q and J's +1 mask, dgeev's columns x
+    # and the verdict's fixed ones, Re h and Im h, and the units e
+    _frame: tuple = field(repr=False, compare=False)
 
     @property
     def phases(self) -> list[Phase]:
         return PHASE_OF_CODE[self.codes].tolist()
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        q, plus, x, fixed, _, _, _ = self._frame
+        n, d = self.w.shape
+        # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
+        # Re x and Im x of a pair span a Jordan chain, not eigenvectors
+        v = _frame_vectors(q, plus, np.where((self.codes == 0)[:, None, None], fixed, x))
+        # the leftover sign: the first entry within SIGN_TIE_RTOL of the largest
+        # magnitude gets a positive real part, or a positive imaginary part when
+        # its real part is 0
+        mag = np.abs(v)
+        first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+        top = v[np.arange(n)[:, None], first, np.arange(d)]
+        return np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :],
+                        -v, v)
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        _, _, _, _, hr, hi, e = self._frame
+        v = self.v
+        # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v,
+        # in M's unit
+        hv = real_matmul(in_units(hr, e), v) + 1j * real_matmul(in_units(hi, e), v)
+        return in_units(column_norms(hv - v * in_units(self.w, e)[:, None, :]), -e)
 
     def row(self, n: int) -> SpectralData:
         """Row n as SpectralData; its arrays are views of the stack's."""
@@ -142,8 +173,10 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     one (D, D) p serves every row of h.
 
     Each row is solved in its real Krein frame M = (QS)^H h (QS) (see the
-    module docstring), one batched dgeev call for the stack, and v = QSx is
-    formed once, at the end. The verdict comes from dgeev's eigenpairs alone
+    module docstring), one batched dgeev call for the stack. v = QSx and
+    the residuals are formed for the whole stack when first read
+    (PhaseStack.v), so a caller that reads only w and codes, as the CLI sweep
+    does, never forms them. The verdict comes from dgeev's eigenpairs alone
     (_verdict, which find_unbroken_seeds shares): the exceptional-point test
     |x^T J x| < EP_ISOTROPY_TOL runs on dgeev's own columns x, and Python
     runs per row only to give each eigenvalue cluster of a real spectrum one
@@ -157,7 +190,9 @@ def classify_stack(h, p, tol: float = DEFAULT_TOL) -> PhaseStack:
     construct.check_pt_pairs, for a pair that PTSystem would
     reject (a non-finite entry, an H that is not symmetric, a P that is not a
     real symmetric involution, or an H that does not commute with the PT
-    operation), and ConvergenceError for a residual of M above tol * ||M||_F.
+    operation), and ConvergenceError for a frame M whose entries, up to D
+    max|h|, overflow the float range, or for a residual of M above
+    tol * ||M||_F.
     """
     hs = np.asarray(h, dtype=np.complex128)
     ps = np.asarray(p, dtype=np.complex128)
@@ -177,29 +212,14 @@ def _classify(hs: np.ndarray, ps: np.ndarray, tol: float) -> PhaseStack:
     w, x, e, nu = eig_arrays(m, tol)
     wu = in_units(w, e)
     real, broken, unbroken, fixed, norms = _verdict(w, wu, x, plus, nu)
-    n, d = w.shape
-    # an exceptional row keeps dgeev's eigenvectors: at an exceptional point
-    # Re x and Im x of a pair span a Jordan chain, not eigenvectors
-    v = _frame_vectors(q, plus, np.where(unbroken[:, None, None], fixed, x))
-    # the leftover sign: the first entry within SIGN_TIE_RTOL of the largest
-    # magnitude gets a positive real part, or a positive imaginary part when
-    # its real part is 0
-    mag = np.abs(v)
-    first = (mag >= (1.0 - SIGN_TIE_RTOL) * mag.max(axis=1, keepdims=True)).argmax(axis=1)
-    top = v[np.arange(n)[:, None], first, np.arange(d)]
-    v = np.where(((top.real < 0.0) | ((top.real == 0.0) & (top.imag < 0.0)))[:, None, :], -v, v)
-    # h v from the real products Re h Re v, Re h Im v, Im h Re v and Im h Im v,
-    # in M's unit
-    hv = real_matmul(in_units(hr, e), v) + 1j * real_matmul(in_units(hi, e), v)
-    residuals = in_units(column_norms(hv - v * wu[:, None, :]), -e)
+    d = w.shape[1]
     return PhaseStack(
         w=w,
-        v=v,
-        residuals=residuals,
         codes=np.where(unbroken, 0, np.where(broken, 1, 2)),
         real_count=np.where(broken, real.sum(axis=1), np.where(unbroken, d, 0)),
         conjugate_pairs=np.where(broken, (~real).sum(axis=1) // 2, 0),
         signs=np.where(unbroken[:, None], np.where(norms.real > 0.0, 1, -1), 0),
+        _frame=(q, plus, x, fixed, hr, hi, e),
     )
 
 
@@ -266,10 +286,20 @@ def _krein_frame(hr: np.ndarray, hi: np.ndarray,
     lam, q = np.linalg.eigh(p.real)
     plus = lam > 0.0
     qt = q.swapaxes(-1, -2)
-    gr, gi = qt @ hr @ q, qt @ hi @ q
+    # an entry of Q^T h Q can reach D max|h|: past the float range for a
+    # finite h near it, which is reported below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gr, gi = qt @ hr @ q, qt @ hi @ q
     # Im(conj(s_j) s_k): 0 on J's diagonal blocks, +1 on (+, -), -1 on (-, +)
     turn = plus[..., :, None] * 1.0 - plus[..., None, :]
-    return np.where(turn == 0.0, gr, -turn * gi), q, plus
+    m = np.where(turn == 0.0, gr, -turn * gi)
+    if not np.isfinite(m).all():
+        n = int((~np.isfinite(m)).any(axis=(1, 2)).argmax())
+        raise ConvergenceError(
+            f"the real Krein frame of H overflows the float range: its entries reach "
+            f"up to D * max|H|, and max|H| = {np.hypot(hr[n], hi[n]).max():.3e}"
+        )
+    return m, q, plus
 
 
 def _krein_basis(xc: np.ndarray, sign: np.ndarray, norms: np.ndarray) -> bool:
@@ -331,13 +361,17 @@ def find_unbroken_seeds(
     failing seed.
 
     Raises ValueError, before drawing any seed, for a start_seed, count or
-    max_trials that is not a non-negative integer, a dim below 1, or a
-    signature that has a negative entry or does not sum to dim.
+    max_trials that is not a non-negative integer, a dim or signature entry
+    that is not an integer (a bool is not), a dim below 1, or a signature
+    that has a negative entry or does not sum to dim.
     """
     for name, value in (("start_seed", start_seed), ("count", count), ("max_trials", max_trials)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
+        if not _is_int(value) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value}")
     m_plus, m_minus = signature
+    if not (_is_int(dim) and _is_int(m_plus) and _is_int(m_minus)):
+        raise ValueError(f"dim and signature entries must be integers, got {dim} and "
+                         f"{(m_plus, m_minus)}")
     if m_plus < 0 or m_minus < 0:
         raise ValueError(f"signature entries must be non-negative, got {(m_plus, m_minus)}")
     if dim < 1:
@@ -361,3 +395,8 @@ def find_unbroken_seeds(
         found += np.asarray(seeds)[real][unbroken].tolist()[:count - len(found)]
         seed, size = seeds.stop, min(2 * size, SCAN_BLOCK_MAX)
     return found
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

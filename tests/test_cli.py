@@ -89,6 +89,14 @@ def test_generate_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dim", ["-2", "0"])
+def test_generate_rejects_dim_below_one(tmp_path, capsys, dim):
+    out = tmp_path / "x.json"
+    assert main(["generate", "--dim", dim, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: --dim must be at least 1, got {dim}\n"
+    assert not out.exists()
+
+
 def analyze_report(tmp_path, capsys, sys_obj):
     src = tmp_path / "in.json"
     write_json(src, sys_obj)
@@ -709,10 +717,47 @@ def test_one_eigensolve_per_classification(tmp_path, capsys, monkeypatch, comman
     counted = counting("eig_arrays", pt.linalg.eig_arrays)
     for module in (pt.linalg, pt.spectral, pt.dynamics):
         monkeypatch.setattr(module, "eig_arrays", counted)
+    monkeypatch.setattr(pt.spectral, "_frame_vectors",
+                        counting("_frame_vectors", pt.spectral._frame_vectors))
     argv = [command, "--input", str(src), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == ["eig_arrays"] * solves
+    # and v = QSx is formed once, for the one row
+    assert calls == ["eig_arrays"] * solves + ["_frame_vectors"]
+
+
+def test_sweep_forms_no_eigenvectors(tmp_path, capsys, monkeypatch):
+    # a sweep writes eigenvalues and phases only, so it never forms v = QSx
+    # or h's residuals; its CSV is the same without them
+    src = tmp_path / "base.json"
+    write_json(src, system_to_obj(unbroken_system(8, 6, 2, 0)))
+    sweeps = [["sweep", "--param", "s", "--t", "1", "--lo", "0", "--hi", "2", "--step", "0.001"],
+              ["sweep", "--input", str(src), "--param", "B[0,0]", "--lo", "-2", "--hi", "2",
+               "--step", "0.04"]]
+    want = []
+    for argv in sweeps:
+        assert main(argv) == 0
+        want.append(capsys.readouterr().out)
+    assert {"unbroken", "broken", "exceptional"} <= set(want[0].replace("\n", ",").split(","))
+
+    def fail(*args):
+        raise AssertionError("formed eigenvectors")
+
+    monkeypatch.setattr(pt.spectral, "_frame_vectors", fail)
+    for argv, text in zip(sweeps, want):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+
+
+def test_analyze_frame_past_the_float_range_is_numerical(tmp_path, capsys):
+    # a finite H near the float limit whose frame Q^T H Q overflows
+    base = pt.random_pt_system(8, (6, 2), 13108)
+    src = tmp_path / "big.json"
+    write_json(src, system_to_obj(pt.pt_system_from_matrices(1e308 * base.h, base.p)))
+    assert main(["analyze", "--input", str(src)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: the real Krein frame of H overflows the float range: its entries "
+        "reach up to D * max|H|, and max|H| = 1.523e+308\n")
 
 
 def test_evolve_asymmetric_solves_once(capsys, monkeypatch):

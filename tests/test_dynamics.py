@@ -168,6 +168,11 @@ def test_nonunitarity_demo_asymmetric():
     assert res.conclusive
     assert res.commutator_norm > 1e-3 * pt.max_abs(ASYM)
     assert res.trace.max_drift > 1e-3
+    # the threshold is relative to max|H| at every scale; at this one the
+    # drift itself is nil, so only the verdict on [W, H] is checked
+    tiny = pt.nonunitarity_demo(1e-306 * ASYM, np.eye(2))
+    assert tiny.conclusive
+    assert tiny.commutator_norm > 1e-3 * pt.max_abs(1e-306 * ASYM)
 
 
 def test_nonunitarity_demo_symmetric_control():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -184,8 +185,13 @@ def test_scan_rejects_negative_start_seed_before_drawing(no_draws):
     # a fractional count never equals len(found), so the scan kept a whole block
     ((3, (2, 1), 1.5), {}, "count must be a non-negative integer, got 1.5"),
     ((3, (2, 1), 1), {"max_trials": 40.5}, "max_trials must be a non-negative integer, got 40.5"),
+    # integers only, as serialize reads them: a float or a bool is not one
+    ((3, (2.0, 1), 1), {}, r"dim and signature entries must be integers, got 3 and \(2.0, 1\)"),
+    ((3, (True, 2), 1), {}, r"dim and signature entries must be integers, got 3 and \(True, 2\)"),
+    ((3.0, (2, 1), 1), {}, r"dim and signature entries must be integers, got 3.0 and \(2, 1\)"),
+    ((3, (2, 1), True), {}, "count must be a non-negative integer, got True"),
 ], ids=["signature-sum", "signature-sign", "dim", "count", "max_trials", "count-fraction",
-        "max_trials-fraction"])
+        "max_trials-fraction", "signature-float", "signature-bool", "dim-float", "count-bool"])
 def test_scan_rejects_bad_arguments_before_drawing(no_draws, args, kwargs, message):
     with pytest.raises(ValueError, match=message):
         pt.find_unbroken_seeds(*args, **kwargs)
@@ -456,6 +462,43 @@ def test_classify_stack_matches_classify_phase_on_frozen_systems(key):
     got = pt.classify_stack(*_stack(systems))
     _assert_rows_match_classify_phase(systems, got)
     assert got.phases[:5] == [pt.Phase.UNBROKEN] * 5
+
+
+@pytest.mark.parametrize("first", ["v", "residuals", "row"])
+def test_classify_stack_forms_eigenvectors_once_on_first_read(monkeypatch, first):
+    # the verdict needs no eigenvectors of h: v = QSx and the residuals are
+    # formed for the whole stack when one of them is first read, and kept
+    calls = []
+    original = spectral._frame_vectors
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_frame_vectors", counted)
+    got = pt.classify_stack(*_frame_input("s_grid"))
+    assert pt.Phase.EXCEPTIONAL in got.phases and got.signs.any()
+    assert calls == []
+    {"v": lambda: got.v, "residuals": lambda: got.residuals, "row": lambda: got.row(3)}[first]()
+    assert calls == [1]
+    for n in (0, 1000, 2000):
+        np.testing.assert_array_equal(got.row(n).residuals, got.residuals[n])
+    assert calls == [1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.v = got.v
+
+
+def test_classify_frame_past_the_float_range_is_a_convergence_error():
+    # every entry of H is finite and the pair is admitted, but entries of the
+    # frame Q^T H Q reach D max|H|: a typed failure naming max|H|, no warning
+    base = pt.random_pt_system(8, (6, 2), 13108)
+    big = pt.pt_system_from_matrices(1e308 * base.h, base.p)
+    message = (r"the real Krein frame of H overflows the float range: its entries reach up "
+               r"to D \* max\|H\|, and max\|H\| = 1.523e\+308")
+    with pytest.raises(pt.ConvergenceError, match=message):
+        pt.classify_phase(big)
+    with pytest.raises(pt.ConvergenceError, match=message):
+        pt.classify_stack(np.stack([base.h, big.h]), base.p)
 
 
 # s on both sides of the exceptional point s = t = 1, its window included

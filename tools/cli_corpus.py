@@ -17,9 +17,11 @@ sweeps in steps of 1e-7 around it, sweeps over [-1e300, 1e300], to the float
 limit and at tiny and huge scales; 28 generated systems (24 frozen (8,6,2)
 seeds and one of each smaller signature) with ``analyze``, two 10001-step
 ``evolve`` traces each, and block sweeps of ten of them; four ``evolve``
-runs of the asymmetric fixture; and, last, two sweeps at the ends of the
-float range: s in [1.2e308, 1.7e308], where ||H||_F overflows while every
-entry stays finite, and s in [0, 1e-13] in steps of 1e-14.
+runs of the asymmetric fixture; two sweeps at the ends of the float range:
+s in [1.2e308, 1.7e308], where ||H||_F overflows while every entry stays
+finite, and s in [0, 1e-13] in steps of 1e-14; and, last, ``analyze`` of the
+(8,6,2) seed-13108 system with H scaled by 1e308, whose entries are finite
+but whose real Krein frame Q^T H Q overflows.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def corpus(tree: Path, out: Path) -> list[list[str]]:
-    """The argument lists; OUT stands for the command's own CSV path."""
+    """The argument lists; OUT stands for the command's own CSV path. The
+    one input no command makes, the scaled system, is written to out here."""
     frozen = runpy.run_path(str(tree / "tests" / "_seeds.py"))["UNBROKEN_SEEDS"][(8, 6, 2)]
     rng = random.Random(2029)
     cmds = []
@@ -96,6 +99,13 @@ def corpus(tree: Path, out: Path) -> list[list[str]]:
          "1e307"],
         ["sweep", "--param", "s", "--t", "1", "--lo", "0", "--hi", "1e-13", "--step", "1e-14"],
     ]
+    import ptmatrix as pt
+    from ptmatrix.serialize import system_to_obj, write_json
+
+    base = pt.random_pt_system(8, (6, 2), 13108)
+    big = str(out / "sys_frame_overflow.json")
+    write_json(big, system_to_obj(pt.pt_system_from_matrices(1e308 * base.h, base.p)))
+    cmds.append(["analyze", "--input", big])
     return cmds
 
 
