@@ -27,7 +27,9 @@ here, so no verdict changes under H -> kH or H -> H + rI. M is the real
 Krein frame (QS)^H H (QS) of spectral.classify_stack, and ||M||_F = ||H||_F
 as QS is unitary. The tol of eig_arrays, classify_phase, classify_stack,
 find_unbroken_seeds, build_c_operator, nonunitarity_demo and the CLI's --tol
-is the first row, and reaches no other decision.
+is the first row, and reaches no other decision. eig_arrays and
+find_unbroken_seeds raise ValueError for a tol outside (0, 1) (check_tol);
+the CLI rejects one as a usage error.
 
 ======================== ====== ==================================== ====================
 name                     value  bounds                               relative to
@@ -54,6 +56,12 @@ PT_COMMUTATION_TOL       1e-10  max|P conj(H) P - H|                 max|H| of t
                                 (check_pt_pairs, classify_matrix)
                                 max|Im P|, max|P - P^T| and          1 (P is orthogonal)
                                 max|P^2 - I| (validate_parity)
+HERMITE_MARGIN           1e-6   -lambda_min of the leading Hankel    lambda_max of that
+                                block of power sums of the scan's    block (at least D)
+                                centered unit-norm frame, above
+                                which a seed is rejected before
+                                any eigensolve (spectral
+                                find_unbroken_seeds)
 EP_ISOTROPY_TOL          2e-4   |v^T v| of a unit eigenvector: the   1 (v is a unit
                                 exceptional verdict (spectral) and   vector)
                                 the least PT norm that C accepts
@@ -113,8 +121,10 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     a real eigenvalue has an imaginary part of exactly 0 and a real
     eigenvector, and a non-real one comes right after its exact conjugate,
     with a bit-identical real part and the conjugate eigenvector (v is real
-    when every eigenvalue of the stack is).
+    when every eigenvalue of the stack is). A tol outside (0, 1) raises
+    ValueError before any solve (check_tol).
     """
+    check_tol(tol)
     a = np.asarray(m)
     real = not np.iscomplexobj(a)
     a = a.astype(np.float64 if real else np.complex128, copy=False)
@@ -146,6 +156,15 @@ def eig_arrays(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     if a.ndim == 2:
         return w[0], v[0], e[0], nu[0]
     return w, v, e, nu
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < 1. tol bounds a relative backward
+    error: at 1 or above it accepts the eigenpairs of a matrix as far from m
+    as m is from 0, and a NaN, 0 or negative tol would fail every eigenpair
+    as though the input were ill-conditioned."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite, positive and below 1, got {tol}")
 
 
 def in_units(x: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ import numpy as np
 from .construct import PTSystem, block_draws, block_frame, check_pt_pairs
 from .errors import ConvergenceError
 from .linalg import (
-    COND_CAP, DEFAULT_TOL, column_norms, eig_arrays, in_units, multi_clusters, real_mask,
-    real_matmul,
+    COND_CAP, DEFAULT_TOL, check_tol, column_norms, eig_arrays, frobenius_norms, in_units,
+    multi_clusters, real_mask, real_matmul,
 )
 
 # An L2-normalized eigenvector of a symmetric matrix has |v^T v| -> 0 exactly
@@ -45,11 +45,21 @@ EP_ISOTROPY_TOL = 2e-4
 # P both invariant under swapping two indices) is not decided by round-off
 SIGN_TIE_RTOL = 1e-9
 
-# seeds prescreened per stacked eigensolve by find_unbroken_seeds: a first
-# block of 16 already gets most of the batching gain and costs a short scan
-# little; doubling to 512 amortizes long scans at bounded memory
+# seeds prescreened per block by find_unbroken_seeds: a first block of 16
+# already gets most of the batching gain and costs a short scan little;
+# doubling to 512 amortizes long scans at bounded memory
 SCAN_BLOCK_FIRST = 16
 SCAN_BLOCK_MAX = 512
+
+# the scan's Hermite prescreen (_hermite_keep) tests the leading block of at
+# most this many rows of the power-sum Hankel matrix, p_0..p_8: it already
+# rejects over 99% of (6,2) draws, and each further row costs a D x D product
+# per seed and adds about D^2 eps to the round-off of the highest power sum
+HERMITE_TERMS = 5
+# a seed is rejected when that block's smallest eigenvalue lies below
+# -HERMITE_MARGIN times its largest; see _hermite_keep for why no real
+# spectrum comes near it
+HERMITE_MARGIN = 1e-6
 
 
 class Phase(enum.Enum):
@@ -326,6 +336,56 @@ def _frame_vectors(q: np.ndarray, plus: np.ndarray, x: np.ndarray) -> np.ndarray
     return real_matmul(q, np.where(plus[..., :, None], x, 1j * x))
 
 
+def _hermite_keep(frames: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, D, D) stack of finite real matrices M may have a
+    real spectrum, by Hermite's criterion: M has only real eigenvalues
+    exactly when the Hankel matrix [p_{a+b}] of its power sums p_j = tr M^j,
+    a, b = 0..D-1, is positive semidefinite (Gantmacher, The Theory of
+    Matrices, vol. II, ch. XV). So is then each of its leading blocks, and a
+    row is kept unless its leading k x k block, k = min(D, HERMITE_TERMS), is
+    clearly indefinite: lambda_min < -HERMITE_MARGIN * lambda_max. For D <=
+    HERMITE_TERMS the block is the whole matrix.
+
+    Each M is taken in its unit 2^e (linalg.in_units, exact), centered by tr
+    M / D and scaled to ||c||_F = 1; a scalar M = mu I leaves c = 0 and the
+    block diag(D, 0, ..), which is kept. Shift and scale move no eigenvalue
+    off the real line, and with them the mask of M is that of 2^j M. The
+    powers X_a = c^a, a < k, take three batched products at k = 5, and the
+    block H_ab = tr(X_a X_b) is one batched product of the flattened X_a
+    against their transposes.
+
+    Why no real spectrum is rejected: with ||c||_F = 1, ||c^j||_F <= 1, so
+    each p_j carries about j D^2 eps of round-off whatever c's normality
+    (about 5e-14 at D = 8). A pair that linalg.real_mask counts as real
+    (2|Im w| <= 1e-8 ||M||_F) moves p_j from its value at Im w = 0 by at
+    most 2 C(j, 2) |Im w|^2 in c's scale: below 1.5e-15 r^2, where r =
+    ||M||_F / ||M - (tr M / D) I||_F is the factor by which centering
+    enlarges |Im w| (below 600 over 200 000 draws of each of the 10
+    signatures the tests scan, and below 12 for D >= 3). lambda_max >= p_0
+    = D, so a rejection needs lambda_min below -8e-6 at D = 8: more than
+    1e8 times the round-off, and above the pair's move while r stays below
+    about 1e4.
+    """
+    n, d, _ = frames.shape
+    k = min(d, HERMITE_TERMS)
+    # x[a] = c^a for a < k; x[1] holds c also when k = 1
+    x = np.empty((max(k, 2), n, d, d))
+    x[0] = np.eye(d)
+    c = x[1]
+    c[...] = in_units(frames, np.frexp(np.abs(frames).max(axis=(1, 2)))[1])
+    diag = c.reshape(n, d * d)[:, ::d + 1]
+    diag -= diag.sum(axis=1, keepdims=True) / d
+    norm = frobenius_norms(c)
+    c *= (1.0 / np.where(norm > 0.0, norm, 1.0))[:, None, None]
+    for a in range(2, k):
+        np.matmul(x[a // 2], x[a - a // 2], out=x[a])
+    # tr(X_a X_b) is the inner product of X_a with X_b^T
+    flat = x[:k].reshape(k, n, d * d).transpose(1, 0, 2)
+    flat_t = x[:k].swapaxes(-1, -2).reshape(k, n, d * d).transpose(1, 2, 0)
+    lam = np.linalg.eigvalsh(flat @ flat_t)
+    return lam[:, 0] >= -HERMITE_MARGIN * lam[:, -1]
+
+
 def find_unbroken_seeds(
     dim: int,
     signature: tuple[int, int],
@@ -339,8 +399,8 @@ def find_unbroken_seeds(
 
     The phase does not depend on the rotation R of H = R H0 R^T, P = R P0
     R^T, so seeds are classified on the block form alone, a block of seeds
-    per stacked eigensolve: 16 seeds first, then twice as many each time up
-    to SCAN_BLOCK_MAX. A block's draws come from construct.block_draws:
+    at a time: 16 seeds first, then twice as many each time up to
+    SCAN_BLOCK_MAX. A block's draws come from construct.block_draws:
     bit for bit what random_pt_system draws for A, B and C from
     np.random.default_rng(seed), without building a Generator per seed. Each
     seed keeps numpy's own SeedSequence pool and PCG64 stream; the hash of
@@ -351,19 +411,22 @@ def find_unbroken_seeds(
     pins.
     Each seed's real block frame M = [[A, -B], [B^T, C]]
     (construct.block_frame) is S^H H0 S with S = diag(I, iI): the real Krein
-    frame of (H0, P0), with J = diag(+1 x m_plus, -1 x m_minus), so one
-    real eigensolve gives H0's eigenvalues and eigenpair residuals. The
-    seeds whose M has a real spectrum (linalg.real_mask) get classify_stack's
-    verdict (_verdict) from those same eigenpairs; no system is built or
-    solved again. The scan keeps the unbroken ones in seed order and stops
-    at the count-th. An eigenpair residual above tol * ||M||_F
-    (ConvergenceError, eig_arrays) raises for the whole block that holds the
-    failing seed.
+    frame of (H0, P0), with J = diag(+1 x m_plus, -1 x m_minus). Hermite's
+    criterion on M's power sums (_hermite_keep) first rejects the seeds whose
+    M clearly has a non-real pair, without an eigensolve. The kept seeds get
+    one stacked real eigensolve per block, which gives H0's eigenvalues and
+    eigenpair residuals; those whose M has a real spectrum (linalg.real_mask)
+    get classify_stack's verdict (_verdict) from those same eigenpairs, and
+    no system is built or solved again. A block that keeps no seed is not
+    solved. The scan keeps the unbroken seeds in seed order and stops at the
+    count-th. An eigenpair residual of a kept seed above tol * ||M||_F
+    (ConvergenceError, eig_arrays) raises for the whole block that holds it;
+    a rejected seed is never solved, so its residuals are not bounded.
 
     Raises ValueError, before drawing any seed, for a start_seed, count or
     max_trials that is not a non-negative integer, a dim or signature entry
-    that is not an integer (a bool is not), a dim below 1, or a signature
-    that has a negative entry or does not sum to dim.
+    that is not an integer (a bool is not), a dim below 1, a signature that
+    has a negative entry or does not sum to dim, or a tol outside (0, 1).
     """
     for name, value in (("start_seed", start_seed), ("count", count), ("max_trials", max_trials)):
         if not _is_int(value) or value < 0:
@@ -378,6 +441,7 @@ def find_unbroken_seeds(
         raise ValueError(f"dim must be at least 1, got {dim}")
     if m_plus + m_minus != dim:
         raise ValueError(f"signature {(m_plus, m_minus)} must sum to dim {dim}")
+    check_tol(tol)
     plus = np.arange(dim) < m_plus
     found: list[int] = []
     seed, end, size = start_seed, start_seed + max_trials, SCAN_BLOCK_FIRST
@@ -388,11 +452,13 @@ def find_unbroken_seeds(
             )
         seeds = range(seed, min(seed + size, end))
         frames = block_frame(block_draws(seeds, m_plus, m_minus), m_plus, m_minus)
-        w, x, e, nu = eig_arrays(frames, tol)
-        wu = in_units(w, e)
-        real = real_mask(wu, nu).all(axis=1)
-        unbroken = _verdict(w[real], wu[real], x[real], plus, nu[real])[2]
-        found += np.asarray(seeds)[real][unbroken].tolist()[:count - len(found)]
+        kept = _hermite_keep(frames).nonzero()[0]
+        if kept.size:
+            w, x, e, nu = eig_arrays(frames[kept], tol)
+            wu = in_units(w, e)
+            real = real_mask(wu, nu).all(axis=1)
+            unbroken = _verdict(w[real], wu[real], x[real], plus, nu[real])[2]
+            found += (seed + kept[real][unbroken]).tolist()[:count - len(found)]
         seed, size = seeds.stop, min(2 * size, SCAN_BLOCK_MAX)
     return found
 

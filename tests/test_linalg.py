@@ -149,13 +149,23 @@ def test_infinite_residual_fails_where_the_norm_is_infinite(monkeypatch):
     # an eigenvalue past the float range leaves a NaN residual where it meets
     # a 0 part of its eigenvector, and an inf one where every part of a
     # complex eigenvector is nonzero; both fail at every tol, also where
-    # tol * ||M||_F is inf
+    # tol * ||M||_F is inf in M's own units
     dense = np.array([[[1.0, 1.0], [1.0, -1.0]]]) * (0.5 + 0.5j)
     for stack, v, figure in ((m, np.eye(2)[None], "nan"), (m + 0j, dense, "inf")):
         monkeypatch.setattr(np.linalg, "eig", lambda a, v=v: (np.array([[np.inf, 0.0]]), v))
-        for tol in (1e-10, 0.5, 1e300, np.inf):
+        for tol in (1e-10, 0.5, np.nextafter(1.0, 0.0)):
             with pytest.raises(pt.ConvergenceError, match=f"eigenpair residual {figure} above"):
                 eig_arrays(stack, tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, 1.0, 2.0, 1e300, np.inf, -np.inf])
+def test_tol_outside_the_unit_interval_is_a_value_error(monkeypatch, tol):
+    # tol bounds a relative backward error: a NaN, 0 or negative tol would
+    # blame every input, and one of 1 or above checks nothing
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("solved before checking tol"))
+    for m in (np.eye(2), np.eye(2)[None], np.eye(2) + 0j):
+        with pytest.raises(ValueError, match=re.escape(f"below 1, got {tol}")):
+            eig_arrays(m, tol)
 
 
 def test_frobenius_norms_of_large_entries_stay_finite():

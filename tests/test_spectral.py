@@ -190,25 +190,43 @@ def test_scan_rejects_negative_start_seed_before_drawing(no_draws):
     ((3, (True, 2), 1), {}, r"dim and signature entries must be integers, got 3 and \(True, 2\)"),
     ((3.0, (2, 1), 1), {}, r"dim and signature entries must be integers, got 3.0 and \(2, 1\)"),
     ((3, (2, 1), True), {}, "count must be a non-negative integer, got True"),
+    # a window that keeps no seed is never solved, so tol is checked up front
+    ((8, (6, 2), 1), {"start_seed": 13093, "tol": np.nan},
+     "tol must be finite, positive and below 1, got nan"),
+    ((8, (6, 2), 1), {"tol": 0.0}, "tol must be finite, positive and below 1, got 0.0"),
+    ((8, (6, 2), 1), {"tol": -1.0}, "tol must be finite, positive and below 1, got -1.0"),
+    ((8, (6, 2), 1), {"tol": 2.0}, "tol must be finite, positive and below 1, got 2.0"),
 ], ids=["signature-sum", "signature-sign", "dim", "count", "max_trials", "count-fraction",
-        "max_trials-fraction", "signature-float", "signature-bool", "dim-float", "count-bool"])
+        "max_trials-fraction", "signature-float", "signature-bool", "dim-float", "count-bool",
+        "tol-nan", "tol-zero", "tol-negative", "tol-two"])
 def test_scan_rejects_bad_arguments_before_drawing(no_draws, args, kwargs, message):
     with pytest.raises(ValueError, match=message):
         pt.find_unbroken_seeds(*args, **kwargs)
 
 
 def test_scan_classifies_each_block_from_its_one_eigensolve(monkeypatch):
-    rows = []
-    original = pt.spectral.eig_arrays
+    blocks, solved, verdicts = [], [], []
+    keep, eig, verdict = pt.spectral._hermite_keep, pt.spectral.eig_arrays, pt.spectral._verdict
 
-    def counted(m, tol):
-        rows.append(m.shape[0])
-        return original(m, tol)
+    def kept_rows(frames):
+        mask = keep(frames)
+        blocks.append((len(frames), frames[mask]))
+        return mask
+
+    def counted_eig(m, tol):
+        solved.append(m)
+        return eig(m, tol)
+
+    def counted_verdict(w, *args):
+        verdicts.append(len(w))
+        return verdict(w, *args)
 
     def fail(*args, **kwargs):
         raise AssertionError("the scan rebuilt or re-solved a seed")
 
-    monkeypatch.setattr(pt.spectral, "eig_arrays", counted)
+    monkeypatch.setattr(pt.spectral, "_hermite_keep", kept_rows)
+    monkeypatch.setattr(pt.spectral, "eig_arrays", counted_eig)
+    monkeypatch.setattr(pt.spectral, "_verdict", counted_verdict)
     monkeypatch.setattr(pt.spectral, "classify_stack", fail)
     monkeypatch.setattr(pt.spectral, "classify_phase", fail)
     monkeypatch.setattr(pt.construct, "random_pt_system", fail)
@@ -218,13 +236,25 @@ def test_scan_classifies_each_block_from_its_one_eigensolve(monkeypatch):
     assert not hasattr(pt.spectral, "random_pt_system")
     want = UNBROKEN_SEEDS[(5, 3, 2)]
     assert pt.find_unbroken_seeds(5, (3, 2), len(want)) == want
-    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512, one solve each
-    assert rows == [16, 32, 64, 128, 256] + [512] * 12
-    # a cut block stops at max_trials
-    rows.clear()
-    with pytest.raises(RuntimeError):
-        pt.find_unbroken_seeds(5, (3, 2), 1, max_trials=40)
-    assert rows == [16, 24]
+    # the 6576 seeds 0..6575 in blocks of 16, 32, ..., 512; each block that
+    # keeps a row makes one solve of exactly its kept rows and one verdict
+    assert [size for size, _ in blocks] == [16, 32, 64, 128, 256] + [512] * 12
+    rows = [frames for _, frames in blocks if len(frames)]
+    assert len(solved) == len(rows) == len(verdicts) > 0
+    for got, frames in zip(solved, rows):
+        np.testing.assert_array_equal(got, frames)
+    # a block that keeps no row makes no solve and no verdict: the (1,1)
+    # frame [[0, -1], [1, 0]] has eigenvalues +-i, and [[1, -0.5], [0.5, -1]]
+    # is unbroken; a cut block stops at max_trials
+    table = [[0.0, 1.0, 0.0]] * 40
+    table[20] = [1.0, 0.5, -1.0]
+    monkeypatch.setattr(pt.spectral, "block_draws",
+                        lambda seeds, m_plus, m_minus: np.array([table[s] for s in seeds]))
+    for got in (blocks, solved, verdicts):
+        got.clear()
+    assert pt.find_unbroken_seeds(2, (1, 1), 1, max_trials=40) == [20]
+    assert [(size, len(frames)) for size, frames in blocks] == [(16, 0), (24, 1)]
+    assert [len(m) for m in solved] == verdicts == [1]
 
 
 @pytest.mark.parametrize("signature,table,want", [
@@ -325,9 +355,87 @@ def test_scan_prescreen_keeps_the_residual_bound():
     assert res.max() > 1e-10 and (res <= 1e-10 * np.ldexp(nu, e)[:, None]).all()
     with pytest.raises(pt.ConvergenceError, match=r"above tolerance 1.000e-300 \* \|\|M\|\|_F"):
         pt.eig_arrays(frames, 1e-300)
-    # in a scan, the failing prescreen raises for the whole block
+    # in a scan, a kept row that fails raises for the whole block; rows the
+    # Hermite prescreen rejects are never solved, so their residuals are not
+    # bounded: this scan's first block keeps a row that fails
     with pytest.raises(pt.ConvergenceError, match="above tolerance 1.000e-18"):
         pt.find_unbroken_seeds(8, (6, 2), 1, tol=1e-18)
+
+
+# the frozen signatures, and two at D = 8 with no frozen seed
+HERMITE_SIGNATURES = sorted({(mp, mm) for _, mp, mm in UNBROKEN_SEEDS} | {(4, 4), (5, 3)})
+
+
+@pytest.mark.parametrize("mp,mm", HERMITE_SIGNATURES)
+def test_hermite_prescreen_rejects_no_real_spectrum(mp, mm):
+    # 40 960 draws from seeds no other test scans, in the scan's largest block
+    kept = real = 0
+    for start in range(10**6, 10**6 + 40960, 4096):
+        frames = pt.construct.block_frame(
+            pt.construct.block_draws(range(start, start + 4096), mp, mm), mp, mm)
+        keep = np.concatenate([spectral._hermite_keep(f)
+                               for f in np.split(frames, 4096 // spectral.SCAN_BLOCK_MAX)])
+        w, _, e, nu = pt.eig_arrays(frames)
+        mask = pt.linalg.real_mask(pt.linalg.in_units(w, e), nu).all(axis=1)
+        assert not (mask & ~keep).any(), np.flatnonzero(mask & ~keep) + start
+        kept, real = kept + keep.sum(), real + mask.sum()
+    # the prescreen does reject: the kept rows hold every real spectrum and
+    # at most half of the draws
+    assert real <= kept <= 40960 // 2
+
+
+def _similar(m, seed):
+    # m in a non-normal real basis: the same eigenvalues and Jordan blocks
+    s = np.eye(len(m)) + 0.5 * np.random.default_rng(seed).uniform(-1.0, 1.0, m.shape)
+    return s @ m @ np.linalg.inv(s)
+
+
+def test_hermite_prescreen_keeps_real_spectra_at_its_edges():
+    keep = spectral._hermite_keep
+    # unbroken up to the exceptional point b = 1 of [[1, -b], [b, -1]]
+    draws = _near_ep_draws()
+    frames = pt.construct.block_frame(draws, 1, 1)
+    assert keep(frames)[draws[:, 1] <= 1.0].all()
+    # the (1,1) Jordan frame, and exactly repeated real eigenvalues: the
+    # Hankel block is singular, with as many positive eigenvalues as M has
+    # distinct ones
+    jordan = [np.array([[1.0, -1.0], [1.0, -1.0]]),
+              np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])]
+    repeated = [np.diag([2.0] * 7 + [5.0]), _similar(np.diag([1, 1, 1, 2, 2, -3, -3, -3]), 0),
+                _similar(np.diag([0.5] * 4 + [-1] * 4), 1), _similar(np.diag([1, 1, 4, 4, 4]), 2)]
+    for m in jordan + repeated:
+        assert keep(m[None]).all(), m
+    # a scalar frame, centered to 0, at every scale and without a warning
+    for d in (1, 3, 8):
+        for mu in (0.0, 0.1, -3.0, 1e-310, 1.5e300):
+            assert keep(np.full((1, d), mu)[..., None] * np.eye(d)).all(), (d, mu)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermite_prescreen_decides_the_whole_hankel_matrix_up_to_d_4(d):
+    # for D <= HERMITE_TERMS the block is the whole Hankel matrix, which is
+    # semidefinite exactly when the spectrum is real
+    rng = np.random.default_rng(d)
+    real = [_similar(np.diag(rng.uniform(-1.0, 1.0, d)), seed) for seed in range(20)]
+    assert spectral._hermite_keep(np.stack(real)).all()
+    if d >= 2:
+        broken = []
+        for seed in range(20):
+            m = np.diag(rng.uniform(-1.0, 1.0, d))
+            a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
+            m[:2, :2] = [[a, -b], [b, a]]  # eigenvalues a +- ib
+            broken.append(_similar(m, seed))
+        assert not spectral._hermite_keep(np.stack(broken)).any()
+
+
+@pytest.mark.parametrize("mp,mm", [(1, 1), (3, 2), (6, 2)])
+def test_hermite_prescreen_is_exact_under_powers_of_two(mp, mm):
+    # the mask is decided in each frame's unit 2^e, so 2^k M gives M's
+    frames = pt.construct.block_frame(pt.construct.block_draws(range(4096), mp, mm), mp, mm)
+    keep = spectral._hermite_keep(frames)
+    assert 0 < keep.sum() < len(keep)
+    for k in (-200, 200):
+        np.testing.assert_array_equal(spectral._hermite_keep(np.ldexp(frames, k)), keep)
 
 
 def test_pt_norm_signature_two_level():
@@ -646,7 +754,7 @@ def test_classify_stack_residual_bound_covers_every_row():
     with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above tolerance "
                                                   r"1.000e-10 \* \|\|M\|\|_F = 2.789e\+298"):
         pt.classify_stack(h, p)
-    for tol in (1e-300, 0.5, 1e300, np.inf):
+    for tol in (1e-300, 0.5, np.nextafter(1.0, 0.0)):
         with pytest.raises(pt.ConvergenceError, match="eigenpair residual nan above"):
             pt.classify_stack(h, p, tol)
 

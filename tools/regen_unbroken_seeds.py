@@ -7,11 +7,10 @@ Unbroken systems can be rare (the frozen lists hold 50 unbroken seeds in
 here once instead of rejection-sampling at run time. Every frozen seed
 is re-verified by the tests; this script only does the scanning, nearly all
 of it the (8,6,2) scan up to seed 357555. On a shared 2-CPU x86-64 Linux VM
-with one OpenBLAS thread, 4 alternating runs of --check took 9.2-9.8 s wall
-(38 000-41 000 seeds/s at (8,6,2)) with the block draws of
-ptmatrix.construct.block_draws, against 12.1-12.4 s (30 000-31 000 seeds/s)
-with one np.random.default_rng per seed; load on such a VM moves both by up
-to 2x.
+with one OpenBLAS thread, 4 alternating runs of --check took 4.4-4.8 s wall
+(80 600-90 300 seeds/s at (8,6,2)) with the scan's Hermite prescreen, which
+rejects most seeds before any eigensolve, against 10.1-10.8 s (34 900-38 100
+seeds/s) without it; load on such a VM moves both by up to 2x.
 It prints the seeds scanned per second for each signature.
 
 Run from the repository root:  python tools/regen_unbroken_seeds.py
